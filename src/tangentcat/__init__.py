@@ -14,10 +14,9 @@ from .tangent import (
     zero_0,
 )
 from .dbundle import (
-    BundleMorphism,
     DiffBundle,
     bundles_equal,
-    is_linear_morphism,
+    linear_morphism_report,
     mu_map,
     pullback_bundle,
     tangent_bundle,
@@ -51,7 +50,6 @@ from .connection import (
     derive_horizontal,
     equivalence_suite,
     recompose_point,
-    total_bundle,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

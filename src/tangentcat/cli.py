@@ -29,7 +29,6 @@ from .connection import (
     christoffel_connection,
     decompose_point,
     derive_horizontal,
-    total_bundle,
 )
 from . import serialize
 from .serialize import SerializationError
@@ -184,7 +183,7 @@ def cmd_total_bundle(args) -> int:
     if decomp is None:
         _emit(eff, args.format)
         return _exit_code(eff)
-    bundle = total_bundle(decomp)
+    bundle = decomp.biproduct.sum
     report = eff
     report.extend(verify_bundle(bundle), prefix="total bundle: ")
     out = _sidecar(args.path, "total")
@@ -235,7 +234,7 @@ def cmd_demo(args) -> int:
     c = canonical_connection(1) if args.name == "canonical" else _demo_christoffel()
     report, full, decomp = _connection_gate(c)
     if decomp is not None:
-        report.extend(verify_bundle(total_bundle(decomp)), prefix="total bundle: ")
+        report.extend(verify_bundle(decomp.biproduct.sum), prefix="total bundle: ")
     _emit(report, args.format)
     return _exit_code(report)
 

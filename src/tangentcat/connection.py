@@ -37,7 +37,7 @@ from .polycore import (
     first_difference,
     invert_polymap,
     map_equal,
-    pair_into,
+    power_pair,
 )
 from .report import Report, Status
 from .dbundle import (
@@ -46,14 +46,12 @@ from .dbundle import (
     bundles_equal,
     linear_morphism_report,
     mu_map,
-    power_dim,
-    power_proj,
     pullback_bundle,
     tangent_bundle,
     tangent_of_bundle,
     transport_bundle,
 )
-from .tangent import Space, T_map, T_obj, lift_l, proj_p, zero_0
+from .tangent import Space, T_map, T_obj, add_plus, lift_l, proj_p, zero_0
 from .whitney import (
     BiproductBundle,
     _zeta_fibre,
@@ -96,7 +94,7 @@ class Decomposition:
     theta: PolyMap
     theta_inv: PolyMap
     biproduct: BiproductBundle
-    total: DiffBundle
+    total: DiffBundle  # the same bundle as biproduct.sum
 
 
 def horizontal_space(b: DiffBundle) -> Space:
@@ -161,7 +159,7 @@ def check_vertical(c: Connection) -> Report:
 
 def _pullback_along_q(b: DiffBundle) -> DiffBundle:
     """The tangent bundle of the base pulled back along q, on (x, w, u)."""
-    pulled, _ = pullback_bundle(b.q, tangent_bundle(b.base))
+    pulled = pullback_bundle(b.q, tangent_bundle(b.base))
     return DiffBundle(
         horizontal_space(b),
         b.total,
@@ -175,7 +173,7 @@ def _pullback_along_q(b: DiffBundle) -> DiffBundle:
 def _pullback_along_p(b: DiffBundle) -> DiffBundle:
     """The bundle pulled back along the tangent projection, on (x, w, u)."""
     e, m, f = b.total.dim, b.base.dim, b.fibre_dim
-    pulled, _ = pullback_bundle(proj_p(b.base), b)
+    pulled = pullback_bundle(proj_p(b.base), b)
     # The pullback lives on (x, u, w); permute onto the (x, w, u) layout.
     psi = PolyMap.selection(e + m, list(range(m)) + list(range(e, e + m)) + list(range(m, e)))
     psi_inv = PolyMap.selection(e + m, list(range(m)) + list(range(m + m, m + m + f)) + list(range(m, m + m)))
@@ -228,26 +226,17 @@ def check_pair(c: Connection) -> Report:
     rep.check_equal("compatibility", "H then K factors through the zero section", compose(c.H, c.K), rhs)
 
     p_e = PolyMap.selection(2 * e, range(e))
-    paired_sq = pair_into(
-        power_dim(b, 2), [power_proj(b, 2, 1), power_proj(b, 2, 2)], [c.K, p_e]
-    )
-    vertical_part = compose(paired_sq, mu_map(b))
-    horizontal_part = compose(section_target(b), c.H)
-    te = tangent_bundle(b.total)
-    total = compose(
-        pair_into(
-            power_dim(te, 2),
-            [power_proj(te, 2, 1), power_proj(te, 2, 2)],
-            [vertical_part, horizontal_part],
-        ),
-        te.sigma,
-    )
-    rep.check_equal(
-        "decomposition of the identity",
-        "vertical part plus horizontal part is the identity on TE",
-        total,
-        PolyMap.identity(2 * e),
-    )
+    name = "decomposition of the identity"
+    law = "vertical part plus horizontal part is the identity on TE"
+    try:
+        vertical_part = compose(power_pair(e, b.base_coords, [c.K, p_e]), mu_map(b))
+        horizontal_part = compose(section_target(b), c.H)
+        paired = power_pair(2 * e, range(e), [vertical_part, horizontal_part])
+    except ShapeError as exc:
+        # The parts lie over different points of E, so they cannot be added.
+        rep.check(name, law, False, str(exc))
+        return rep
+    rep.check_equal(name, law, compose(paired, add_plus(b.total)), PolyMap.identity(2 * e))
     return rep
 
 
@@ -352,11 +341,6 @@ def derive_horizontal(c: Connection) -> Connection:
         if diff is not None:
             raise ShapeError(f"derived H fails its {name} component equation: {diff}")
     return replace(c, H=H)
-
-
-def total_bundle(d: Decomposition) -> DiffBundle:
-    """The Whitney-sum structure on TE over the base, transported across theta."""
-    return d.total
 
 
 def christoffel_connection(

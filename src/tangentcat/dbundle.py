@@ -5,15 +5,16 @@ selection out of the total space, recorded as ``base_coords``.  The fibre
 coordinates are the complement, in order.  Fibre products over the base are
 realized concretely as coordinate concatenation: the canonical k-th fibre
 power of the total space is (total coordinates, then k-1 extra copies of the
-fibre block).  Because every structural projection is then again a coordinate
-selection, pairings into fibre products are assembled by ``pair_into`` and all
-axioms reduce to exact polynomial identities.
+fibre block), as built by ``polycore.power_proj`` from ``(total.dim,
+base_coords)``.  Because every structural projection is then again a
+coordinate selection, pairings into fibre products are assembled by
+``pair_into`` and all axioms reduce to exact polynomial identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .polycore import (
     PolyMap,
@@ -24,8 +25,10 @@ from .polycore import (
     first_difference,
     invert_polymap,
     map_equal,
-    matrix_inverse,
     pair_into,
+    power_dim,
+    power_pair,
+    power_proj,
     selection_indices,
 )
 from .report import Report, Status
@@ -80,44 +83,6 @@ class DiffBundle:
         return PolyMap.selection(self.total.dim, self.base_coords)
 
 
-@dataclass(frozen=True)
-class BundleMorphism:
-    """A square (top: E -> F, bottom: M -> N) between bundles."""
-
-    top: PolyMap
-    bottom: PolyMap
-
-
-def power_dim(b: DiffBundle, k: int) -> int:
-    return b.total.dim + (k - 1) * b.fibre_dim
-
-
-def power_proj(b: DiffBundle, k: int, i: int) -> PolyMap:
-    """The i-th projection (i in 1..k) of the canonical k-th fibre power."""
-    if not 1 <= i <= k:
-        raise ShapeError(f"projection index {i} out of range for fibre power {k}")
-    e, f = b.total.dim, b.fibre_dim
-    dom = power_dim(b, k)
-    if i == 1:
-        return PolyMap.selection(dom, range(e))
-    fib = iter(range(e + (i - 2) * f, e + (i - 1) * f))
-    base = set(b.base_coords)
-    idx = [j if j in base else next(fib) for j in range(e)]
-    return PolyMap.selection(dom, idx)
-
-
-def power_pair(b: DiffBundle, maps: Sequence[PolyMap]) -> PolyMap:
-    """Pair maps into the canonical fibre power; bases must agree exactly."""
-    k = len(maps)
-    return pair_into(power_dim(b, k), [power_proj(b, k, i + 1) for i in range(k)], maps)
-
-
-def tangent_square_pair(b: DiffBundle, g1: PolyMap, g2: PolyMap) -> PolyMap:
-    """Pair two maps into T(E x_M E), the tangent of the canonical square."""
-    projs = [T_map(power_proj(b, 2, 1)), T_map(power_proj(b, 2, 2))]
-    return pair_into(2 * power_dim(b, 2), projs, [g1, g2])
-
-
 def tangent_bundle(s: Space) -> DiffBundle:
     """The tangent bundle (TM, p, +, 0, l) of a space, in standard position."""
     return DiffBundle(
@@ -162,7 +127,6 @@ def _additive_morphism_report(
     subject: str,
     src: DiffBundle,
     dst_square_projs: tuple[PolyMap, PolyMap],
-    dst_square_dim: int,
     dst_sigma: PolyMap,
     dst_zeta: PolyMap,
     dst_q: PolyMap,
@@ -174,9 +138,9 @@ def _additive_morphism_report(
     rep.check_equal("base square", "q f = g r", compose(src.q, f), compose(g, dst_q))
     rep.check_equal("zero preservation", "zeta g = f zeta'", compose(src.zeta, g), compose(f, dst_zeta))
     g_sq = pair_into(
-        dst_square_dim,
+        dst_square_projs[0].domain_dim,
         list(dst_square_projs),
-        [compose(power_proj(src, 2, 1), g), compose(power_proj(src, 2, 2), g)],
+        [compose(power_proj(src.total.dim, src.base_coords, 2, i), g) for i in (1, 2)],
     )
     rep.check_equal(
         "addition preservation", "sigma g = (g x g) sigma'", compose(src.sigma, g), compose(g_sq, dst_sigma)
@@ -186,9 +150,12 @@ def _additive_morphism_report(
 
 def mu_map(b: DiffBundle) -> PolyMap:
     """The comparison map mu = <pi1 lift, pi2 0> T(sigma) : E x_M E -> TE."""
-    p1, p2 = power_proj(b, 2, 1), power_proj(b, 2, 2)
-    paired = tangent_square_pair(
-        b, compose(p1, b.lift), compose(p2, zero_0(b.total))
+    e, bc = b.total.dim, b.base_coords
+    p1, p2 = power_proj(e, bc, 2, 1), power_proj(e, bc, 2, 2)
+    paired = pair_into(
+        2 * power_dim(e, bc, 2),
+        [T_map(p1), T_map(p2)],
+        [compose(p1, b.lift), compose(p2, zero_0(b.total))],
     )
     return compose(paired, T_map(b.sigma))
 
@@ -204,121 +171,41 @@ def _zero_tangent_base(b: DiffBundle) -> PolyMap:
     return PolyMap(2 * e, tuple(comps))
 
 
-def _nu_by_back_substitution(b: DiffBundle, mu: PolyMap) -> Optional[PolyMap]:
-    """Solve mu for the summands by triangular back-substitution.
-
-    Restricting mu to the components that survive on the subvariety where
-    the base tangents vanish gives an endomorphism of the fibre square;
-    inverting it by back-substitution handles shear-like systems with cross
-    terms between the two summands that the jointly affine solver rejects.
-    Returns None when no inverse of that shape is found.
-    """
-    e = b.total.dim
-    sq_dim = power_dim(b, 2)
-    te_dim = 2 * e
-    base = set(b.base_coords)
-    sq_fibre1 = [i for i in range(e) if i not in base]
-    out_positions = list(range(e)) + [e + i for i in sq_fibre1]
-    restricted = PolyMap(sq_dim, tuple(mu.components[pos] for pos in out_positions))
-    solved = invert_polymap(restricted)
-    if solved is None:
-        return None
-    sel = [Polynomial.variable(te_dim, pos) for pos in out_positions]
-    return PolyMap(te_dim, tuple(c.substitute(sel) for c in solved.components))
-
-
 def check_universality(b: DiffBundle) -> Report:
     """Axiom 4: mu is invertible onto the vanishing of the base-tangents.
 
     The subvariety {xi in TE : T(q)(xi) is a zero tangent vector} is cut out
-    by setting the base-tangent coordinates to zero, so invertibility of mu
-    is checked by solving for a two-sided polynomial inverse nu, which exists
-    exactly when mu is affine in the fibre variables with a constant-
-    determinant coefficient matrix.  Failures to solve are reported as
+    by setting the base-tangent coordinates to zero.  Restricting mu to the
+    components that survive there (the total-space block and the fibre
+    tangents) gives an endomorphism of the fibre square; ``invert_polymap``
+    solves it, and reading its inputs off those coordinates of TE gives the
+    candidate inverse nu, which is then checked on both sides.  mu need not
+    be affine in the fibre variables: on the tangent space of a total space
+    it never is.  An inverse the solver cannot find is reported as
     cannot-certify, never as refutation.
     """
     rep = Report(subject="lift universality (axiom 4)")
-    e, m, f = b.total.dim, b.base.dim, b.fibre_dim
+    e = b.total.dim
     mu = mu_map(b)
-    sq_dim = power_dim(b, 2)
-    proj_to_m = compose(power_proj(b, 2, 1), b.q)
+    sq_dim = power_dim(e, b.base_coords, 2)
+    proj_to_m = compose(power_proj(e, b.base_coords, 2, 1), b.q)
     rep.check_equal(
         "square commutes",
         "mu T(q) = proj 0",
         compose(mu, T_map(b.q)),
         compose(proj_to_m, zero_0(b.base)),
     )
-    sq_fibre1 = [i for i in range(e) if i not in set(b.base_coords)]
-    fibre_vars = sq_fibre1 + list(range(e, e + f))
-    base_vars = list(b.base_coords)
-
-    out_positions = sq_fibre1 + [e + i for i in sq_fibre1]
-    rows: list[list[Polynomial]] = []
-    consts: list[Polynomial] = []
-    linear = True
-    for pos in out_positions:
-        comp = mu.components[pos]
-        if comp.degree_in(fibre_vars) > 1:
-            linear = False
-            break
-        row = []
-        for v in fibre_vars:
-            coeff: dict = {}
-            for exps, c in comp.terms:
-                if exps[v] == 1:
-                    reduced = list(exps)
-                    reduced[v] = 0
-                    coeff[tuple(reduced)] = c
-            row.append(Polynomial.from_terms(sq_dim, coeff))
-        rows.append(row)
-        consts.append(
-            Polynomial.from_terms(
-                sq_dim,
-                {e_: c for e_, c in comp.terms if all(e_[v] == 0 for v in fibre_vars)},
-            )
-        )
-    nu: Optional[PolyMap] = None
-    if linear:
-        inv = matrix_inverse(rows)
-        if inv is not None:
-            # Assemble nu : TE -> E x_M E.  Inputs: base from the base
-            # coordinates of TE, outputs of mu from the fibre and
-            # tangent-fibre coordinates.
-            te_dim = 2 * e
-            def lift_to_te(p: Polynomial) -> Polynomial:
-                # consts/rows live in square coordinates but only use base
-                # variables, which sit at the same positions inside TE.
-                args = [
-                    Polynomial.variable(te_dim, i) if i < e else Polynomial.zero(te_dim)
-                    for i in range(sq_dim)
-                ]
-                return p.substitute(args)
-
-            rhs = [
-                Polynomial.variable(te_dim, pos) - lift_to_te(c)
-                for pos, c in zip(out_positions, consts)
-            ]
-            solved = []
-            for i in range(len(fibre_vars)):
-                acc = Polynomial.zero(te_dim)
-                for j in range(len(fibre_vars)):
-                    acc = acc + lift_to_te(inv[i][j]) * rhs[j]
-                solved.append(acc)
-            nu_comps: list[Optional[Polynomial]] = [None] * sq_dim
-            for i in base_vars:
-                nu_comps[i] = Polynomial.variable(te_dim, i)
-            for var, expr in zip(fibre_vars, solved):
-                nu_comps[var] = expr
-            nu = PolyMap(te_dim, tuple(c for c in nu_comps if c is not None))
-    if nu is None:
-        nu = _nu_by_back_substitution(b, mu)
-    if nu is None:
+    out_positions = list(range(e)) + [e + i for i in b.fibre_coords]
+    solved = invert_polymap(PolyMap(sq_dim, tuple(mu.components[pos] for pos in out_positions)))
+    if solved is None:
         rep.cannot_certify(
             "shear inversion",
             "mu is solvable for the summands",
             "neither the jointly affine nor the substitution solver applies",
         )
         return rep
+    sel = [Polynomial.variable(2 * e, pos) for pos in out_positions]
+    nu = PolyMap(2 * e, tuple(c.substitute(sel) for c in solved.components))
 
     zero_sub = _zero_tangent_base(b)
     ok1 = rep.check_equal("left inverse", "nu mu = 1", compose(mu, nu), PolyMap.identity(sq_dim))
@@ -341,21 +228,21 @@ def check_universality(b: DiffBundle) -> Report:
 def verify_bundle(b: DiffBundle) -> Report:
     """Run all five differential-bundle axioms as exact identities."""
     rep = Report(subject=f"bundle over R^{b.base.dim} with fibre R^{b.fibre_dim}")
-    e, m = b.total.dim, b.base.dim
+    e, m, bc = b.total.dim, b.base.dim, b.base_coords
     q = b.q
-    sq_dim = power_dim(b, 2)
-    p1, p2 = power_proj(b, 2, 1), power_proj(b, 2, 2)
+    sq_dim = power_dim(e, bc, 2)
+    p1, p2 = power_proj(e, bc, 2, 1), power_proj(e, bc, 2, 2)
 
     rep.check_equal("projection compatibility", "sigma q = proj q", compose(b.sigma, q), compose(p1, q))
     rep.check_equal("section", "zeta q = 1", compose(b.zeta, q), PolyMap.identity(m))
 
-    swap = power_pair(b, [p2, p1])
+    swap = power_pair(e, bc, [p2, p1])
     rep.check_equal("commutativity", "swap sigma = sigma", compose(swap, b.sigma), b.sigma)
-    unit = power_pair(b, [compose(q, b.zeta), PolyMap.identity(e)])
+    unit = power_pair(e, bc, [compose(q, b.zeta), PolyMap.identity(e)])
     rep.check_equal("unit", "<q zeta, 1> sigma = 1", compose(unit, b.sigma), PolyMap.identity(e))
-    q1, q2, q3 = (power_proj(b, 3, i) for i in (1, 2, 3))
-    left = compose(power_pair(b, [compose(power_pair(b, [q1, q2]), b.sigma), q3]), b.sigma)
-    right = compose(power_pair(b, [q1, compose(power_pair(b, [q2, q3]), b.sigma)]), b.sigma)
+    q1, q2, q3 = (power_proj(e, bc, 3, i) for i in (1, 2, 3))
+    left = compose(power_pair(e, bc, [compose(power_pair(e, bc, [q1, q2]), b.sigma), q3]), b.sigma)
+    right = compose(power_pair(e, bc, [q1, compose(power_pair(e, bc, [q2, q3]), b.sigma)]), b.sigma)
     rep.check_equal("associativity", "(a+b)+c = a+(b+c)", left, right)
 
     # Axiom 1: fibre powers of a coordinate projection are again Cartesian
@@ -371,7 +258,6 @@ def verify_bundle(b: DiffBundle) -> Report:
         "axiom 2",
         b,
         (T_map(p1), T_map(p2)),
-        2 * sq_dim,
         T_map(b.sigma),
         T_map(b.zeta),
         T_map(q),
@@ -387,15 +273,10 @@ def verify_bundle(b: DiffBundle) -> Report:
 
     # Axiom 3: (lift, zeta) is additive into (TE, p_E, +_E, 0_E).
     e_space = b.total
-    t2e_projs = (
-        PolyMap.selection(3 * e, range(2 * e)),
-        PolyMap.selection(3 * e, list(range(e)) + list(range(2 * e, 3 * e))),
-    )
     ax3 = _additive_morphism_report(
         "axiom 3",
         b,
-        t2e_projs,
-        3 * e,
+        (power_proj(2 * e, range(e), 2, 1), power_proj(2 * e, range(e), 2, 2)),
         add_plus(e_space),
         zero_0(e_space),
         proj_p(e_space),
@@ -422,73 +303,38 @@ def verify_bundle(b: DiffBundle) -> Report:
 
 def tangent_of_bundle(b: DiffBundle) -> DiffBundle:
     """Apply T to a bundle: (TE, T(q), T(sigma), T(zeta), T(lift) c_E) over TM."""
-    e = b.total.dim
-    new_total = T_obj(b.total)
-    new_base = T_obj(b.base)
-    new_base_coords = tuple(b.base_coords) + tuple(e + i for i in b.base_coords)
+    e, bc = b.total.dim, b.base_coords
+    new_base_coords = tuple(bc) + tuple(e + i for i in bc)
     # Build the new sigma on the canonical square of (TE, new_base_coords) by
     # routing it through T(E x_M E) and applying T(sigma).
-    nb = DiffBundle(
-        new_total,
-        new_base,
+    kappa = pair_into(
+        2 * power_dim(e, bc, 2),
+        [T_map(power_proj(e, bc, 2, 1)), T_map(power_proj(e, bc, 2, 2))],
+        [power_proj(2 * e, new_base_coords, 2, 1), power_proj(2 * e, new_base_coords, 2, 2)],
+    )
+    return DiffBundle(
+        T_obj(b.total),
+        T_obj(b.base),
         new_base_coords,
-        _placeholder_sigma(new_total.dim, len(new_base_coords)),
+        compose(kappa, T_map(b.sigma)),
         T_map(b.zeta),
         compose(T_map(b.lift), flip_c(b.total)),
     )
-    p1, p2 = power_proj(nb, 2, 1), power_proj(nb, 2, 2)
-    kappa = pair_into(
-        2 * power_dim(b, 2),
-        [T_map(power_proj(b, 2, 1)), T_map(power_proj(b, 2, 2))],
-        [p1, p2],
-    )
-    sigma = compose(kappa, T_map(b.sigma))
-    return DiffBundle(new_total, new_base, new_base_coords, sigma, nb.zeta, nb.lift)
-
-
-def _placeholder_sigma(total_dim: int, base_dim: int) -> PolyMap:
-    fibre = total_dim - base_dim
-    dom = total_dim + fibre
-    return PolyMap.selection(dom, range(total_dim))
-
-
-def is_linear_morphism(g: PolyMap, f: PolyMap, src: DiffBundle, dst: DiffBundle) -> bool:
-    """Whether (g, f) commutes with the projections and the lifts.
-
-    Linearity implies additivity; the checker also confirms preservation of
-    sigma and zeta and raises ``EngineError`` if linearity held while
-    additivity failed, which would indicate a defect in the engine itself.
-    """
-    if g.domain_dim != src.total.dim or g.codomain_dim != dst.total.dim:
-        raise ShapeError("top morphism has the wrong shape")
-    if f.domain_dim != src.base.dim or f.codomain_dim != dst.base.dim:
-        raise ShapeError("bottom morphism has the wrong shape")
-    square_ok = map_equal(compose(src.q, f), compose(g, dst.q))
-    lift_ok = map_equal(compose(src.lift, T_map(g)), compose(g, dst.lift))
-    linear = square_ok and lift_ok
-    if linear:
-        add = _additive_morphism_report(
-            "additivity",
-            src,
-            (power_proj(dst, 2, 1), power_proj(dst, 2, 2)),
-            power_dim(dst, 2),
-            dst.sigma,
-            dst.zeta,
-            dst.q,
-            g,
-            f,
-        )
-        if not add.passed:
-            raise EngineError(
-                "linear morphism failed additivity: "
-                + "; ".join(r.name for r in add.failing())
-            )
-    return linear
 
 
 def linear_morphism_report(
     subject: str, g: PolyMap, f: PolyMap, src: DiffBundle, dst: DiffBundle
 ) -> Report:
+    """Whether (g, f) commutes with the projections and the lifts.
+
+    Linearity implies additivity; when both squares commute the checker also
+    confirms preservation of sigma and zeta and raises ``EngineError`` if
+    that fails, which would indicate a defect in the engine itself.
+    """
+    if g.domain_dim != src.total.dim or g.codomain_dim != dst.total.dim:
+        raise ShapeError("top morphism has the wrong shape")
+    if f.domain_dim != src.base.dim or f.codomain_dim != dst.base.dim:
+        raise ShapeError("bottom morphism has the wrong shape")
     rep = Report(subject=subject)
     rep.check_equal("projection square", "q f = g r", compose(src.q, f), compose(g, dst.q))
     rep.check_equal(
@@ -498,8 +344,7 @@ def linear_morphism_report(
         add = _additive_morphism_report(
             subject + " additivity",
             src,
-            (power_proj(dst, 2, 1), power_proj(dst, 2, 2)),
-            power_dim(dst, 2),
+            tuple(power_proj(dst.total.dim, dst.base_coords, 2, i) for i in (1, 2)),
             dst.sigma,
             dst.zeta,
             dst.q,
@@ -514,7 +359,7 @@ def linear_morphism_report(
     return rep
 
 
-def pullback_bundle(f: PolyMap, b: DiffBundle) -> tuple[DiffBundle, BundleMorphism]:
+def pullback_bundle(f: PolyMap, b: DiffBundle) -> DiffBundle:
     """Pull a bundle back along f : N -> M by substituting f into the fibre ops."""
     if f.codomain_dim != b.base.dim:
         raise ShapeError("pullback map must land in the base of the bundle")
@@ -539,9 +384,9 @@ def pullback_bundle(f: PolyMap, b: DiffBundle) -> tuple[DiffBundle, BundleMorphi
 
     # sigma: (x, w1, w2) -> (x, sigma_fibre(f(x), w1, w2))
     sq = e_new + k
-    j = pair_into(
-        power_dim(b, 2),
-        [power_proj(b, 2, 1), power_proj(b, 2, 2)],
+    j = power_pair(
+        b.total.dim,
+        b.base_coords,
         [
             into_e(sq, fbase(sq), list(range(n, n + k))),
             into_e(sq, fbase(sq), list(range(e_new, e_new + k))),
@@ -571,8 +416,7 @@ def pullback_bundle(f: PolyMap, b: DiffBundle) -> tuple[DiffBundle, BundleMorphi
         + tuple(Polynomial.zero(e_new) for _ in range(n))
         + tuple(lf.components[e_old + pos] for pos in b.fibre_coords),
     )
-    pulled = DiffBundle(new_total, new_base, tuple(range(n)), sigma, zeta, lift)
-    return pulled, BundleMorphism(top=fprime, bottom=f)
+    return DiffBundle(new_total, new_base, tuple(range(n)), sigma, zeta, lift)
 
 
 def bundles_equal(a: DiffBundle, b: DiffBundle) -> bool:
@@ -611,18 +455,17 @@ def transport_bundle(
     idx = selection_indices(q_new)
     if idx is None:
         raise ShapeError("transported projection is not a coordinate selection")
-    nb = DiffBundle(
+    d = new_total.dim
+    kappa = power_pair(
+        c.total.dim,
+        c.base_coords,
+        [compose(power_proj(d, idx, 2, 1), psi), compose(power_proj(d, idx, 2, 2), psi)],
+    )
+    return DiffBundle(
         new_total,
         c.base,
         idx,
-        _placeholder_sigma(new_total.dim, c.base.dim),
+        compose_all(kappa, c.sigma, psi_inv),
         compose(c.zeta, psi_inv),
         compose_all(psi, c.lift, T_map(psi_inv)),
     )
-    kappa = pair_into(
-        power_dim(c, 2),
-        [power_proj(c, 2, 1), power_proj(c, 2, 2)],
-        [compose(power_proj(nb, 2, 1), psi), compose(power_proj(nb, 2, 2), psi)],
-    )
-    sigma = compose_all(kappa, c.sigma, psi_inv)
-    return DiffBundle(new_total, c.base, idx, sigma, nb.zeta, nb.lift)

@@ -183,11 +183,6 @@ class Polynomial:
         return " + ".join(parts)
 
 
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Canonical-form sum of two polynomials of equal arity."""
-    return a + b
-
-
 @dataclass(frozen=True)
 class PolyMap:
     """A polynomial map between Cartesian spaces: one component per output."""
@@ -344,121 +339,64 @@ def pair_into(
     return PolyMap(dom, tuple(s for s in slots if s is not None))
 
 
-def matrix_det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a small square polynomial matrix, by cofactor expansion."""
-    n = len(m)
-    if n == 0:
-        raise ShapeError("determinant of empty matrix")
-    arity = m[0][0].arity
-    if n == 1:
-        return m[0][0]
-    out = Polynomial.zero(arity)
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        term = m[0][j] * matrix_det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
+def power_dim(total_dim: int, base_coords: Sequence[int], k: int) -> int:
+    """Dimension of the canonical k-th fibre power of a coordinate projection."""
+    return total_dim + (k - 1) * (total_dim - len(base_coords))
 
 
-def matrix_cofactor_inverse(
-    m: Sequence[Sequence[Polynomial]],
-) -> Optional[tuple[tuple[Polynomial, ...], ...]]:
-    """Polynomial inverse of a matrix whose determinant is a nonzero rational.
+def power_proj(total_dim: int, base_coords: Sequence[int], k: int, i: int) -> PolyMap:
+    """The i-th projection (i in 1..k) of the canonical k-th fibre power.
 
-    Returns None when the determinant is not a nonzero constant (the inverse
-    would then need rational functions, which the engine does not allow).
+    The projection of a total space onto the coordinates ``base_coords`` has
+    as its k-th fibre power the total coordinates followed by k-1 further
+    copies of the fibre block (the remaining coordinates, in order).  For
+    the tangent bundle of R^n, ``(2n, range(n))``, this is T_k M with layout
+    (x, t_1, ..., t_k).
     """
-    n = len(m)
-    det = matrix_det(m)
-    if det.is_zero() or det.total_degree() > 0:
-        return None
-    inv_det = 1 / det.terms[0][1]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-            ]
-            cof = matrix_det(minor) if n > 1 else Polynomial.constant(m[0][0].arity, 1)
-            sign = 1 if (i + j) % 2 == 0 else -1
-            row.append(cof.scale(sign * inv_det))
-        out.append(tuple(row))
-    return tuple(out)
+    if not 1 <= i <= k:
+        raise ShapeError(f"projection index {i} out of range for fibre power {k}")
+    dom = power_dim(total_dim, base_coords, k)
+    if i == 1:
+        return PolyMap.selection(dom, range(total_dim))
+    f = total_dim - len(base_coords)
+    fib = iter(range(total_dim + (i - 2) * f, total_dim + (i - 1) * f))
+    base = set(base_coords)
+    return PolyMap.selection(dom, [j if j in base else next(fib) for j in range(total_dim)])
 
 
-def matrix_inverse(
-    m: Sequence[Sequence[Polynomial]],
-) -> Optional[tuple[tuple[Polynomial, ...], ...]]:
-    """Polynomial inverse of a square polynomial matrix, if one exists.
+def power_pair(total_dim: int, base_coords: Sequence[int], maps: Sequence[PolyMap]) -> PolyMap:
+    """Pair maps into the canonical fibre power; their bases must agree exactly."""
+    k = len(maps)
+    projs = [power_proj(total_dim, base_coords, k, i + 1) for i in range(k)]
+    return pair_into(power_dim(total_dim, base_coords, k), projs, maps)
 
-    Runs Gauss-Jordan elimination on the augmented matrix, only ever pivoting
-    on entries that are nonzero rational constants; every row operation then
-    stays inside the polynomial ring.  Succeeding this way certifies that the
-    determinant is a nonzero constant.  When no constant pivot is available
-    the small-size cofactor formula is tried as a fallback; otherwise None is
-    returned (conservatively: the matrix may still be invertible).
-    """
-    n = len(m)
-    if n == 0:
-        return ()
-    arity = m[0][0].arity
-    if any(len(row) != n or any(p.arity != arity for p in row) for row in m):
-        raise ShapeError("matrix_inverse needs a square matrix of uniform arity")
-    aug = [list(row) + [
-        Polynomial.constant(arity, 1) if i == j else Polynomial.zero(arity)
-        for j in range(n)
-    ] for i, row in enumerate(m)]
-    pivot_of_col: dict[int, int] = {}
-    free_rows = set(range(n))
-    for _ in range(n):
-        found = None
-        for i in sorted(free_rows):
-            for j in range(n):
-                if j in pivot_of_col:
-                    continue
-                entry = aug[i][j]
-                if not entry.is_zero() and entry.total_degree() == 0:
-                    found = (i, j, entry.terms[0][1])
-                    break
-            if found:
-                break
-        if not found:
-            return matrix_cofactor_inverse(m) if n <= 4 else None
-        i, j, c = found
-        inv_c = Fraction(1, 1) / c
-        aug[i] = [p.scale(inv_c) for p in aug[i]]
+
+def _rational_inverse(a: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
+    """Inverse of a square rational matrix by Gauss-Jordan; None when singular."""
+    n = len(a)
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_c = 1 / aug[col][col]
+        aug[col] = [v * inv_c for v in aug[col]]
         for r in range(n):
-            if r != i and not aug[r][j].is_zero():
-                factor = aug[r][j]
-                aug[r] = [p - factor * q for p, q in zip(aug[r], aug[i])]
-        pivot_of_col[j] = i
-        free_rows.discard(i)
-    inverse = tuple(tuple(aug[pivot_of_col[j]][n + k] for k in range(n)) for j in range(n))
-    # The left block reduced to a permuted identity, so this is exact; verify
-    # one side anyway to keep the certificate self-contained.
-    for i in range(n):
-        for k in range(n):
-            acc = Polynomial.zero(arity)
-            for j in range(n):
-                acc = acc + m[i][j] * inverse[j][k]
-            expected = Polynomial.constant(arity, 1) if i == k else Polynomial.zero(arity)
-            if acc != expected:
-                return None
-    return inverse
+            factor = aug[r][col]
+            if r != col and factor != 0:
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
-def invert_polymap(f: PolyMap) -> Optional[PolyMap]:
-    """Attempt a two-sided polynomial inverse by back-substitution.
+def _back_substitute(f: PolyMap) -> Optional[PolyMap]:
+    """Solve f for its inputs, one exposed variable per component at a time.
 
-    Handles coordinate permutations and shear-like maps where each component
-    exposes one as-yet-unsolved variable with a constant coefficient (for
-    example ``(x, t, u, v + g(x, t, u))``).  Returns None when no inverse of
-    that shape exists; this is conservative, not a refutation.
+    A component qualifies when exactly one unsolved variable occurs in it,
+    only as a bare linear term with a constant coefficient, and everything
+    else in it is already solved.  The result is not checked here.
     """
     n = f.domain_dim
-    if f.codomain_dim != n:
-        return None
     solved: dict[int, Polynomial] = {}
     remaining = set(range(n))
     unused = set(range(n))
@@ -499,7 +437,45 @@ def invert_polymap(f: PolyMap) -> Optional[PolyMap]:
             progress = True
     if remaining:
         return None
-    inv = PolyMap(n, tuple(solved[i] for i in range(n)))
+    return PolyMap(n, tuple(solved[i] for i in range(n)))
+
+
+def invert_polymap(f: PolyMap) -> Optional[PolyMap]:
+    """Attempt a two-sided polynomial inverse; the engine's only inverter.
+
+    When some component of f has more than one bare linear term, the linear
+    part A = J_f(0) is inverted over the rationals first and f is normalised
+    to g = A^-1 f.  A singular A gives None: a polynomial automorphism has
+    J_f(0) invertible.  Back-substitution then handles coordinate
+    permutations and shear-like maps where each component exposes one
+    as-yet-unsolved variable with a constant coefficient (for example
+    ``(x, t, u, v + h(x, t, u))``), and f^-1 = g^-1 A^-1.  The result is
+    returned only after checking both composites against the identity.
+    Returns None when no inverse of that shape exists; this is
+    conservative, not a refutation.
+    """
+    n = f.domain_dim
+    if f.codomain_dim != n:
+        return None
+    linear = [[Fraction(0)] * n for _ in range(n)]
+    for row, comp in zip(linear, f.components):
+        for exps, c in comp.terms:
+            if sum(exps) == 1:
+                row[exps.index(1)] = c
+    if any(sum(1 for v in row if v) > 1 for row in linear):
+        a_inv = _rational_inverse(linear)
+        if a_inv is None:
+            return None
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        normalise = PolyMap(
+            n, tuple(Polynomial.from_terms(n, dict(zip(units, row))) for row in a_inv)
+        )
+        g_inv = _back_substitute(compose(f, normalise))
+        inv = None if g_inv is None else compose(normalise, g_inv)
+    else:
+        inv = _back_substitute(f)
+    if inv is None:
+        return None
     ident = PolyMap.identity(n)
     if map_equal(compose(f, inv), ident) and map_equal(compose(inv, f), ident):
         return inv

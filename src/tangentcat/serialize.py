@@ -1,17 +1,19 @@
 """JSON schemas for the engine's objects.
 
-Coefficients serialize as exact fraction strings ("3", "-3/7"); decimal
-notation is rejected on input.  All encoders are deterministic so that
-identical objects always produce identical bytes.
+Coefficients serialize as exact fraction strings ("3", "-3/7"); any other
+notation (decimals, exponents, whitespace) is rejected on input, and so are
+JSON booleans where a count or an index is expected.  All encoders are
+deterministic so that identical objects always produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Optional
 
-from .polycore import PolyMap, Polynomial
+from .polycore import PolyMap, Polynomial, ShapeError
 from .tangent import Space
 from .dbundle import DiffBundle
 from .whitney import BiproductBundle
@@ -20,6 +22,14 @@ from .connection import Connection, Decomposition
 
 class SerializationError(ValueError):
     """Raised when a document does not match the expected schema."""
+
+
+_FRACTION = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _natural(v: Any) -> bool:
+    """A natural number; JSON ``true``/``false`` are not numbers here."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _expect(obj: Any, key: str, where: str) -> Any:
@@ -33,11 +43,11 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s: Any, where: str) -> Fraction:
-    if not isinstance(s, str) or "." in s:
+    if not isinstance(s, str) or not _FRACTION.fullmatch(s):
         raise SerializationError(f"{where}: coefficients must be fraction strings")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise SerializationError(f"{where}: bad coefficient {s!r}") from exc
 
 
@@ -52,16 +62,19 @@ def poly_to_json(p: Polynomial) -> dict:
 
 def poly_from_json(obj: Any, where: str = "polynomial") -> Polynomial:
     arity = _expect(obj, "arity", where)
-    if not isinstance(arity, int) or arity < 0:
+    if not _natural(arity):
         raise SerializationError(f"{where}: arity must be a natural number")
+    listed = _expect(obj, "terms", where)
+    if not isinstance(listed, list):
+        raise SerializationError(f"{where}: terms must be a list")
     terms: dict = {}
-    for i, t in enumerate(_expect(obj, "terms", where)):
+    for i, t in enumerate(listed):
         spot = f"{where}.terms[{i}]"
         exps = _expect(t, "exps", spot)
         if (
             not isinstance(exps, list)
             or len(exps) != arity
-            or any(not isinstance(e, int) or e < 0 for e in exps)
+            or any(not _natural(e) for e in exps)
         ):
             raise SerializationError(f"{spot}: exps must be {arity} natural numbers")
         coeff = fraction_from_str(_expect(t, "coeff", spot), spot)
@@ -82,12 +95,15 @@ def map_from_json(obj: Any, where: str = "map") -> PolyMap:
     dom = _expect(obj, "dom", where)
     cod = _expect(obj, "cod", where)
     comps = _expect(obj, "components", where)
+    if not _natural(dom) or not _natural(cod):
+        raise SerializationError(f"{where}: dom and cod must be natural numbers")
     if not isinstance(comps, list) or len(comps) != cod:
         raise SerializationError(f"{where}: expected {cod} components")
-    out = PolyMap(
-        dom, tuple(poly_from_json(c, f"{where}.components[{i}]") for i, c in enumerate(comps))
-    )
-    return out
+    polys = tuple(poly_from_json(c, f"{where}.components[{i}]") for i, c in enumerate(comps))
+    try:
+        return PolyMap(dom, polys)
+    except ShapeError as exc:
+        raise SerializationError(f"{where}: {exc}") from exc
 
 
 def space_to_json(s: Space) -> dict:
@@ -97,6 +113,8 @@ def space_to_json(s: Space) -> dict:
 def space_from_json(obj: Any, where: str = "space") -> Space:
     dim = _expect(obj, "dim", where)
     layout = _expect(obj, "layout", where)
+    if not _natural(dim):
+        raise SerializationError(f"{where}: dim must be a natural number")
     try:
         return Space(dim, tuple((str(n), int(k)) for n, k in layout))
     except (TypeError, ValueError) as exc:
@@ -116,7 +134,7 @@ def bundle_to_json(b: DiffBundle) -> dict:
 
 def bundle_from_json(obj: Any, where: str = "bundle") -> DiffBundle:
     coords = _expect(obj, "base_coords", where)
-    if not isinstance(coords, list) or any(not isinstance(i, int) for i in coords):
+    if not isinstance(coords, list) or any(not _natural(i) for i in coords):
         raise SerializationError(f"{where}: base_coords must be a list of indices")
     try:
         return DiffBundle(
@@ -144,6 +162,13 @@ def connection_to_json(c: Connection) -> dict:
     return out
 
 
+def _cubic(table: Any, n: int, depth: int = 3) -> bool:
+    """Whether ``table`` is nested lists of length n, ``depth`` levels deep."""
+    if depth == 0:
+        return True
+    return isinstance(table, list) and len(table) == n and all(_cubic(t, n, depth - 1) for t in table)
+
+
 def connection_from_json(obj: Any, where: str = "connection") -> Connection:
     bundle = bundle_from_json(_expect(obj, "bundle", where), f"{where}.bundle")
     k = map_from_json(_expect(obj, "K", where), f"{where}.K")
@@ -152,6 +177,9 @@ def connection_from_json(obj: Any, where: str = "connection") -> Connection:
         h = map_from_json(obj["H"], f"{where}.H")
     gamma = None
     if isinstance(obj, dict) and obj.get("gamma") is not None:
+        n = bundle.base.dim
+        if not _cubic(obj["gamma"], n):
+            raise SerializationError(f"{where}.gamma: must be a cubic table of polynomials, {n} per side")
         gamma = tuple(
             tuple(
                 tuple(
@@ -182,7 +210,7 @@ def decomposition_to_json(d: Decomposition) -> dict:
         "theta": map_to_json(d.theta),
         "theta_inv": map_to_json(d.theta_inv),
         "biproduct": biproduct_to_json(d.biproduct),
-        "total": bundle_to_json(d.total),
+        "total": bundle_to_json(d.biproduct.sum),
     }
 
 

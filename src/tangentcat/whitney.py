@@ -23,16 +23,15 @@ from .polycore import (
     compose,
     compose_all,
     first_difference,
+    invert_polymap,
     map_equal,
-    pair_into,
+    power_pair,
     selection_indices,
 )
 from .report import Report
 from .tangent import Space, T_map
 from .dbundle import (
     DiffBundle,
-    power_dim,
-    power_proj,
     tangent_of_bundle,
     transport_bundle,
     trivial_bundle,
@@ -82,10 +81,7 @@ def hom_add(f: PolyMap, g: PolyMap, src: DiffBundle, dst: DiffBundle) -> PolyMap
     """The sum of two morphisms over the base: pair into the square, then add."""
     if src.base.dim != dst.base.dim:
         raise ShapeError("hom_add requires bundles over the same base")
-    paired = pair_into(
-        power_dim(dst, 2), [power_proj(dst, 2, 1), power_proj(dst, 2, 2)], [f, g]
-    )
-    return compose(paired, dst.sigma)
+    return compose(power_pair(dst.total.dim, dst.base_coords, [f, g]), dst.sigma)
 
 
 @dataclass(frozen=True)
@@ -258,8 +254,6 @@ def recognize_biproduct(
     comparison isomorphism; an unsolved inversion yields cannot-certify,
     never refutation.
     """
-    from .polycore import invert_polymap
-
     rep = Report(subject="biproduct recognition")
     summands = tuple(summands)
     projections = tuple(projections)
@@ -430,10 +424,7 @@ def partial_add(f: PolyMap, g: PolyMap, bp: BiproductBundle, j: int) -> PolyMap:
         raise ShapeError(f"operands disagree on the fixed block: {diff}")
     pb = partial_bundle(bp, j)
     b = pb.bundle
-    paired = pair_into(
-        power_dim(b, 2), [power_proj(b, 2, 1), power_proj(b, 2, 2)], [f, g]
-    )
-    return compose(paired, b.sigma)
+    return compose(power_pair(b.total.dim, b.base_coords, [f, g]), b.sigma)
 
 
 def check_T_additive(f: PolyMap, g: PolyMap, src: DiffBundle, dst: DiffBundle) -> Report:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -63,6 +64,20 @@ def test_verify_corrupted_lift_exits_2(tmp_path, capsys):
     assert "axiom 2" in out
 
 
+@pytest.mark.parametrize("component", [0, 1])  # the x and the w output of H
+def test_verify_H_off_the_base_point_exits_2(tmp_path, capsys, component):
+    doc = serialize.connection_to_json(canonical_connection(1))
+    u = Polynomial.variable(3, 2)
+    doc["H"]["components"][component] = serialize.poly_to_json(Polynomial.variable(3, component) + u * u)
+    path = tmp_path / "conn.json"
+    path.write_text(serialize.dumps(doc))
+    assert main(["--format", "json", "verify", str(path)]) == 2
+    checks = {r["name"]: r for r in json.loads(capsys.readouterr().out)["checks"]}
+    record = checks["pair: decomposition of the identity"]
+    assert record["status"] == "fail"
+    assert "inconsistent values" in record["witness"]
+
+
 def test_verify_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
@@ -80,6 +95,51 @@ def test_verify_schema_error_exits_1(tmp_path, capsys):
 def test_verify_missing_file_exits_1(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "absent.json")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+_ZERO_1 = serialize.poly_to_json(Polynomial.zero(1))
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, where",
+    [
+        ("connection", ["K", "components", 0, "terms", 0, "coeff"], "1e0", "connection.K.components[0].terms[0]"),
+        ("connection", ["K", "components", 0, "terms", 0, "coeff"], " 1", "connection.K.components[0].terms[0]"),
+        ("connection", ["K", "components", 0, "arity"], True, "connection.K.components[0]"),
+        ("connection", ["K", "components", 0, "terms"], 5, "connection.K.components[0]"),
+        ("connection", ["K", "components", 0], {"arity": 2, "terms": []}, "connection.K"),
+        ("connection", ["K", "components", 0, "terms", 0, "exps"], [True, False, False, False],
+         "connection.K.components[0].terms[0]"),
+        ("connection", ["bundle", "zeta", "dom"], True, "connection.bundle.zeta"),
+        ("bundle", ["sigma", "cod"], True, "bundle.sigma"),
+        ("connection", ["bundle", "base", "dim"], True, "connection.bundle.base"),
+        ("connection", ["bundle", "base_coords"], [False], "connection.bundle"),
+        ("connection", ["gamma"], [[5]], "connection.gamma"),
+        ("connection", ["gamma"], 5, "connection.gamma"),
+        ("connection", ["gamma"], [[[_ZERO_1, _ZERO_1]]], "connection.gamma"),
+    ],
+    ids=["coeff-exponent", "coeff-space", "arity-bool", "terms-int", "component-arity", "exps-bool", "dom-bool",
+         "cod-bool", "dim-bool", "base-coords-bool", "gamma-int-row", "gamma-int", "gamma-ragged"],
+)
+def test_malformed_fields_exit_1_with_location(tmp_path, capsys, kind, field, value, where):
+    if kind == "connection":
+        doc = serialize.connection_to_json(canonical_connection(1))
+        load = serialize.connection_from_json
+    else:
+        from tangentcat.dbundle import trivial_bundle
+
+        doc = serialize.bundle_to_json(trivial_bundle(Space.euclidean(1), 0))
+        load = serialize.bundle_from_json
+    spot = doc
+    for key in field[:-1]:
+        spot = spot[key]
+    spot[field[-1]] = value
+    with pytest.raises(serialize.SerializationError, match=re.escape(where + ":")):
+        load(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--kind", kind, str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}:")
 
 
 # --------------------------------------------------------------- degree guard

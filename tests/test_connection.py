@@ -27,7 +27,6 @@ from tangentcat.connection import (
     derive_horizontal,
     equivalence_suite,
     recompose_point,
-    total_bundle,
 )
 from tangentcat.report import Status
 
@@ -148,7 +147,7 @@ def test_canonical_effective_and_decomposition():
     assert report.verdict is Status.PASS
     assert decomp is not None
     assert map_equal(decomp.theta, PolyMap.identity(4))
-    assert verify_bundle(total_bundle(decomp)).verdict is Status.PASS
+    assert verify_bundle(decomp.biproduct.sum).verdict is Status.PASS
 
 
 def test_effectiveness_gated_on_vertical():

@@ -18,7 +18,7 @@ from tangentcat.dbundle import (
     EngineError,
     bundle_difference,
     bundles_equal,
-    is_linear_morphism,
+    linear_morphism_report,
     mu_map,
     pullback_bundle,
     tangent_bundle,
@@ -106,31 +106,30 @@ def test_nonlinear_sigma_cannot_certify_universality():
 
 def test_pullback_of_tangent_bundle():
     f = PolyMap.from_components(1, [x(1, 0) * x(1, 0)])
-    pulled, morphism = pullback_bundle(f, tangent_bundle(Space.euclidean(1)))
+    pulled = pullback_bundle(f, tangent_bundle(Space.euclidean(1)))
     assert verify_bundle(pulled).verdict is Status.PASS
-    assert is_linear_morphism(
-        morphism.top, morphism.bottom, pulled, tangent_bundle(Space.euclidean(1))
-    )
+    top = PolyMap.from_components(2, [x(2, 0) * x(2, 0), x(2, 1)])  # (x, w) -> (f(x), w)
+    assert linear_morphism_report("pullback", top, f, pulled, tangent_bundle(Space.euclidean(1))).passed
 
 
 def test_pullback_along_identity_is_identity():
     b = trivial_bundle(Space.euclidean(2), 1)
-    pulled, _ = pullback_bundle(PolyMap.identity(2), b)
+    pulled = pullback_bundle(PolyMap.identity(2), b)
     assert bundles_equal(pulled, b)
 
 
 def test_linear_morphism_detects_non_example():
     b = trivial_bundle(Space.euclidean(1), 1)
     g = PolyMap.from_components(2, [x(2, 0), x(2, 1) * x(2, 1)])
-    assert not is_linear_morphism(g, PolyMap.identity(1), b, b)
+    assert not linear_morphism_report("square", g, PolyMap.identity(1), b, b).passed
     scale = PolyMap.from_components(2, [x(2, 0), x(2, 1).scale(3)])
-    assert is_linear_morphism(scale, PolyMap.identity(1), b, b)
+    assert linear_morphism_report("scale", scale, PolyMap.identity(1), b, b).passed
 
 
 def test_linear_morphism_shape_errors():
     b = trivial_bundle(Space.euclidean(1), 1)
     with pytest.raises(ShapeError):
-        is_linear_morphism(PolyMap.identity(3), PolyMap.identity(1), b, b)
+        linear_morphism_report("shape", PolyMap.identity(3), PolyMap.identity(1), b, b)
 
 
 def test_transport_roundtrip():
@@ -162,7 +161,7 @@ def test_T_of_linear_morphisms_stays_linear():
     preserves that linearity."""
     b = trivial_bundle(Space.euclidean(1), 1)
     g = PolyMap.from_components(2, [x(2, 0), x(2, 1).scale(3)])
-    assert is_linear_morphism(
-        T_map(g), T_map(PolyMap.identity(1)), tangent_of_bundle(b), tangent_of_bundle(b)
-    )
+    assert linear_morphism_report(
+        "T(g)", T_map(g), T_map(PolyMap.identity(1)), tangent_of_bundle(b), tangent_of_bundle(b)
+    ).passed
     assert map_equal(compose(zero_0(b.total), T_map(g)), compose(g, zero_0(b.total)))

@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tangentcat.polycore import (
     Polynomial,
@@ -17,8 +18,6 @@ from tangentcat.polycore import (
     invert_polymap,
     jacobian,
     map_equal,
-    matrix_cofactor_inverse,
-    matrix_det,
     pair_into,
     selection_indices,
 )
@@ -159,17 +158,81 @@ def test_first_difference_names_a_monomial():
 # ----------------------------------------------------------------- inversion
 
 
-def test_matrix_det_and_cofactor_inverse():
-    one = Polynomial.constant(1, 1)
-    x = v(1, 0)
-    m = [[one, x], [Polynomial.zero(1), one]]
-    assert matrix_det(m) == one
-    inv = matrix_cofactor_inverse(m)
+def test_invert_base_dependent_shear():
+    x, a, b = v(3, 0), v(3, 1), v(3, 2)
+    f = PolyMap.from_components(3, [x, a + x * b, b])
+    inv = invert_polymap(f)
+    assert inv == PolyMap.from_components(3, [x, a - x * b, b])
+
+
+def test_invert_refuses_non_constant_pivot():
+    x, a = v(2, 0), v(2, 1)
+    assert invert_polymap(PolyMap.from_components(2, [x, a * (Polynomial.constant(2, 1) + x)])) is None
+
+
+def test_invert_mixing_linear_part():
+    x, w1, w2 = v(3, 0), v(3, 1), v(3, 2)
+    f = PolyMap.from_components(3, [x, w1 + w2, w1 - w2])
+    inv = invert_polymap(f)
     assert inv is not None
-    assert inv[0][1] == -x
-    # non-constant determinant is conservatively rejected
-    assert matrix_cofactor_inverse([[x]]) is None
-    assert matrix_cofactor_inverse([[Polynomial.zero(1)]]) is None
+    assert compose(f, inv) == PolyMap.identity(3)
+    assert compose(inv, f) == PolyMap.identity(3)
+    assert eval_map(inv, [1, 5, 1]) == (1, 3, 2)
+
+
+def test_invert_refuses_singular_linear_part():
+    x, w = v(2, 0), v(2, 1)
+    assert invert_polymap(PolyMap.from_components(2, [x + w, x + w + x * x])) is None
+
+
+_small = st.integers(min_value=-2, max_value=2)
+
+
+def _det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]]) for j in range(len(m)))
+
+
+@st.composite
+def shear_linear_shear(draw, n=3):
+    """S(L(U(y))): U a polynomial shear in a random variable order, L a
+    constant invertible matrix, S a constant unitriangular shear.
+
+    S is linear because a polynomial S, conjugated by L, is in general out
+    of back-substitution's reach, and the solver then returns None.
+    """
+    order = draw(st.permutations(range(n)))
+    comps = [None] * n
+    for i, j in enumerate(order):
+        solved = [order[k] for k in range(i)]
+        extra = Polynomial.constant(n, draw(_small))
+        for k in solved:
+            extra = extra + v(n, k).scale(draw(_small))
+            for k2 in solved:
+                extra = extra + (v(n, k) * v(n, k2)).scale(draw(_small))
+        comps[j] = v(n, j) + extra
+    inner = PolyMap.from_components(n, comps)
+    matrix = [[draw(_small) for _ in range(n)] for _ in range(n)]
+    assume(_det(matrix) != 0)
+    linear = PolyMap.from_components(
+        n, [sum((v(n, j).scale(c) for j, c in enumerate(row)), Polynomial.zero(n)) for row in matrix]
+    )
+    outer = PolyMap.from_components(
+        n, [v(n, i) + sum((v(n, j).scale(draw(_small)) for j in range(i)), Polynomial.zero(n)) for i in range(n)]
+    )
+    return compose_all(inner, linear, outer)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shear_linear_shear())
+def test_invert_shear_after_linear_map(f):
+    inv = invert_polymap(f)
+    assert inv is not None
+    assert compose(f, inv) == PolyMap.identity(3)
+    assert compose(inv, f) == PolyMap.identity(3)
+    for pt in grid_points(3):
+        assert eval_map(inv, list(eval_map(f, pt))) == tuple(pt)
 
 
 def test_invert_shear():

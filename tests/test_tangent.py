@@ -2,18 +2,15 @@
 
 from hypothesis import given, settings
 
-from tangentcat.polycore import PolyMap, compose, map_equal
+from tangentcat.polycore import PolyMap, compose, map_equal, power_dim, power_pair, power_proj
 from tangentcat.tangent import (
     Space,
     T_map,
     T_obj,
     add_plus,
     check_tangent_axioms,
-    fibre_power,
     flip_c,
     lift_l,
-    power_pair,
-    power_proj,
     proj_p,
     zero_0,
 )
@@ -60,13 +57,13 @@ def test_naturality_of_projection_and_zero(f):
 @given(polymaps(2, 1, max_degree=3))
 def test_naturality_of_addition(f):
     s, t = Space.euclidean(2), Space.euclidean(1)
-    t2s, t2t = fibre_power(s, 2), fibre_power(t, 2)
     lhs = compose(add_plus(s), T_map(f))
+    # T_2 M is the fibre square of TM over M: (2n, range(n)).
     t_f_pair = power_pair(
-        t, [compose(power_proj(s, 2, 1), T_map(f)), compose(power_proj(s, 2, 2), T_map(f))]
+        2, range(1), [compose(power_proj(4, range(2), 2, i), T_map(f)) for i in (1, 2)]
     )
     rhs = compose(t_f_pair, add_plus(t))
-    assert t2s.dim == 6 and t2t.dim == 3
+    assert power_dim(4, range(2), 2) == 6 and power_dim(2, range(1), 2) == 3
     assert lhs == rhs
 
 

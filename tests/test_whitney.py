@@ -14,7 +14,7 @@ from tangentcat.polycore import (
 from tangentcat.tangent import Space
 from tangentcat.dbundle import (
     bundles_equal,
-    is_linear_morphism,
+    linear_morphism_report,
     tangent_bundle,
     trivial_bundle,
     verify_bundle,
@@ -48,7 +48,7 @@ def test_hom_zero_formula_and_linearity():
     b = trivial_bundle(Space.euclidean(1), 1)
     zero = hom_zero(b, b)
     assert zero == PolyMap.from_components(2, [x(2, 0), Polynomial.zero(2)])
-    assert is_linear_morphism(zero, PolyMap.identity(1), b, b)
+    assert linear_morphism_report("zero", zero, PolyMap.identity(1), b, b).passed
 
 
 def test_hom_add_identity_with_itself():
@@ -134,6 +134,23 @@ def test_recognize_permuted_blocks():
     assert rec.biproduct is not None
     assert map_equal(rec.biproduct.to_canonical, perm)
     assert biproduct_laws(rec.biproduct).verdict is Status.PASS
+
+
+def test_recognize_mixed_fibre_coordinates():
+    # (x, w1, w2) presented through (x, w1 + w2) and (x, w1 - w2): the
+    # comparison map mixes the fibre coordinates, so only its linear part
+    # shows how to invert it.
+    tv = trivial_bundle(Space.euclidean(1), 1)
+    total = biproduct([tv, tv]).sum.total
+    projections = [
+        PolyMap.from_components(3, [x(3, 0), x(3, 1) + x(3, 2)]),
+        PolyMap.from_components(3, [x(3, 0), x(3, 1) - x(3, 2)]),
+    ]
+    rec = recognize_biproduct(total, projections, [tv, tv])
+    assert rec.report.verdict is Status.PASS
+    assert rec.biproduct is not None
+    assert biproduct_laws(rec.biproduct).verdict is Status.PASS
+    assert verify_bundle(rec.biproduct.sum).verdict is Status.PASS
 
 
 def test_recognize_rejects_dropped_projection():
