@@ -18,7 +18,6 @@ from .dbundle import (
     bundles_equal,
     linear_morphism_report,
     mu_map,
-    pullback_bundle,
     tangent_bundle,
     tangent_of_bundle,
     trivial_bundle,

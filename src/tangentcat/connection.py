@@ -18,7 +18,9 @@ rather than refuted.
 
 Coordinate conventions: the bundle must have its base coordinates leading, so
 E = (x, w), TE = (x, w, u, v) with u the tangent of x and v the tangent of w,
-and the product E x_M TM is laid out as (x, w, u).
+and the product E x_M TM is the Whitney sum E + TM on (x, w, u); its two
+partial bundles are the structures over E and over TM that H is checked
+against.
 """
 
 from __future__ import annotations
@@ -46,15 +48,14 @@ from .dbundle import (
     bundles_equal,
     linear_morphism_report,
     mu_map,
-    pullback_bundle,
     tangent_bundle,
     tangent_of_bundle,
-    transport_bundle,
 )
 from .tangent import Space, T_map, T_obj, add_plus, lift_l, proj_p, zero_0
 from .whitney import (
     BiproductBundle,
     _zeta_fibre,
+    biproduct,
     partial_bundle,
     recognize_biproduct,
 )
@@ -95,12 +96,6 @@ class Decomposition:
     theta_inv: PolyMap
     biproduct: BiproductBundle
     total: DiffBundle  # the same bundle as biproduct.sum
-
-
-def horizontal_space(b: DiffBundle) -> Space:
-    """The product E x_M TM with layout (base, fibre, tangent-of-base)."""
-    m = b.base.dim
-    return Space(b.total.dim + m, b.total.layout + (("u", m),))
 
 
 def horizontal_proj_total(b: DiffBundle) -> PolyMap:
@@ -157,29 +152,6 @@ def check_vertical(c: Connection) -> Report:
     return rep
 
 
-def _pullback_along_q(b: DiffBundle) -> DiffBundle:
-    """The tangent bundle of the base pulled back along q, on (x, w, u)."""
-    pulled = pullback_bundle(b.q, tangent_bundle(b.base))
-    return DiffBundle(
-        horizontal_space(b),
-        b.total,
-        pulled.base_coords,
-        pulled.sigma,
-        pulled.zeta,
-        pulled.lift,
-    )
-
-
-def _pullback_along_p(b: DiffBundle) -> DiffBundle:
-    """The bundle pulled back along the tangent projection, on (x, w, u)."""
-    e, m, f = b.total.dim, b.base.dim, b.fibre_dim
-    pulled = pullback_bundle(proj_p(b.base), b)
-    # The pullback lives on (x, u, w); permute onto the (x, w, u) layout.
-    psi = PolyMap.selection(e + m, list(range(m)) + list(range(e, e + m)) + list(range(m, e)))
-    psi_inv = PolyMap.selection(e + m, list(range(m)) + list(range(m + m, m + m + f)) + list(range(m, m + m)))
-    return transport_bundle(pulled, psi, psi_inv, horizontal_space(b))
-
-
 def check_horizontal(c: Connection) -> Report:
     """H sections U and is linear over the total space and the tangent base."""
     b = c.bundle
@@ -191,12 +163,14 @@ def check_horizontal(c: Connection) -> Report:
     rep.check_equal(
         "section", "H then <p_E, T(q)> is the identity", compose(c.H, section_target(b)), PolyMap.identity(hat)
     )
+    # H is linear over both partial bundles of E x_M TM = E + TM.
+    sources = biproduct([b, tangent_bundle(b.base)])
     rep.extend(
         linear_morphism_report(
             "over the total space",
             c.H,
             PolyMap.identity(b.total.dim),
-            _pullback_along_q(b),
+            partial_bundle(sources, 0).bundle,
             tangent_bundle(b.total),
         ),
         prefix="linearity over the total space: ",
@@ -206,7 +180,7 @@ def check_horizontal(c: Connection) -> Report:
             "over the tangent base",
             c.H,
             PolyMap.identity(2 * b.base.dim),
-            _pullback_along_p(b),
+            partial_bundle(sources, 1).bundle,
             tangent_of_bundle(b),
         ),
         prefix="linearity over the tangent base: ",
@@ -245,12 +219,7 @@ def check_effective(c: Connection) -> tuple[Report, Optional[Decomposition]]:
     b = c.bundle
     rep = Report(subject="effectiveness")
     vert = check_vertical(c)
-    rep.check(
-        "gate",
-        "the vertical identities hold",
-        vert.passed,
-        "; ".join(r.name for r in vert.failing()) or None,
-    )
+    rep.summary("gate", "the vertical identities hold", vert)
     if not vert.passed:
         return rep, None
     theta = theta_map(b, c.K)
@@ -455,12 +424,7 @@ def equivalence_suite(c: Connection) -> Report:
     if eff_rep.verdict is Status.CANNOT_CERTIFY:
         rep.cannot_certify("effective presentation", "vertical and pairing invertible", "inversion unresolved")
     else:
-        rep.check(
-            "effective presentation",
-            "vertical identities hold and the pairing inverts",
-            eff_rep.passed,
-            "; ".join(r.name for r in eff_rep.failing()) or None,
-        )
+        rep.summary("effective presentation", "vertical identities hold and the pairing inverts", eff_rep)
 
     # Legs 3 and 4 share the structural comparisons computed in check_effective.
     structural = [

@@ -31,7 +31,7 @@ from .polycore import (
     power_proj,
     selection_indices,
 )
-from .report import Report, Status
+from .report import Report
 from .tangent import Space, T_map, T_obj, add_plus, flip_c, lift_l, proj_p, zero_0
 
 
@@ -264,12 +264,7 @@ def verify_bundle(b: DiffBundle) -> Report:
         b.lift,
         zero_0(b.base),
     )
-    rep.check(
-        "axiom 2: (lift, 0) additive",
-        "monoid morphism into the tangent of the bundle",
-        ax2.passed,
-        "; ".join(r.name for r in ax2.failing()) or None,
-    )
+    rep.summary("axiom 2: (lift, 0) additive", "monoid morphism into the tangent of the bundle", ax2)
 
     # Axiom 3: (lift, zeta) is additive into (TE, p_E, +_E, 0_E).
     e_space = b.total
@@ -283,11 +278,8 @@ def verify_bundle(b: DiffBundle) -> Report:
         b.lift,
         b.zeta,
     )
-    rep.check(
-        "axiom 3: (lift, zeta) additive",
-        "monoid morphism into the tangent bundle of the total space",
-        ax3.passed,
-        "; ".join(r.name for r in ax3.failing()) or None,
+    rep.summary(
+        "axiom 3: (lift, zeta) additive", "monoid morphism into the tangent bundle of the total space", ax3
     )
 
     rep.extend(check_universality(b), prefix="axiom 4: ")
@@ -357,66 +349,6 @@ def linear_morphism_report(
                 + "; ".join(r.name for r in add.failing())
             )
     return rep
-
-
-def pullback_bundle(f: PolyMap, b: DiffBundle) -> DiffBundle:
-    """Pull a bundle back along f : N -> M by substituting f into the fibre ops."""
-    if f.codomain_dim != b.base.dim:
-        raise ShapeError("pullback map must land in the base of the bundle")
-    n = f.domain_dim
-    k = b.fibre_dim
-    e_new = n + k
-    new_base = Space.euclidean(n) if n else Space(0, ())
-    new_total = Space(e_new, new_base.layout + (("w", k),)) if k else new_base
-
-    def into_e(dom: int, base_args: list[Polynomial], fibre_vars: list[int]) -> PolyMap:
-        """(substituted base, chosen fibre variables) -> E, in E's coordinate order."""
-        comps: list[Optional[Polynomial]] = [None] * b.total.dim
-        for i, pos in enumerate(b.base_coords):
-            comps[pos] = base_args[i]
-        for v, pos in zip(fibre_vars, b.fibre_coords):
-            comps[pos] = Polynomial.variable(dom, v)
-        return PolyMap(dom, tuple(c for c in comps if c is not None))
-
-    def fbase(dom: int) -> list[Polynomial]:
-        pad = [Polynomial.variable(dom, i) for i in range(n)]
-        return [c.substitute(pad) for c in f.components]
-
-    # sigma: (x, w1, w2) -> (x, sigma_fibre(f(x), w1, w2))
-    sq = e_new + k
-    j = power_pair(
-        b.total.dim,
-        b.base_coords,
-        [
-            into_e(sq, fbase(sq), list(range(n, n + k))),
-            into_e(sq, fbase(sq), list(range(e_new, e_new + k))),
-        ],
-    )
-    sig_f = compose(j, b.sigma)
-    sigma = PolyMap(
-        sq,
-        tuple(Polynomial.variable(sq, i) for i in range(n))
-        + tuple(sig_f.components[pos] for pos in b.fibre_coords),
-    )
-    # zeta: x -> (x, zeta_fibre(f(x)))
-    zf = compose(PolyMap(n, tuple(f.components)), b.zeta)
-    zeta = PolyMap(
-        n,
-        tuple(Polynomial.variable(n, i) for i in range(n))
-        + tuple(zf.components[pos] for pos in b.fibre_coords),
-    )
-    # lift: (x, w) -> (x, zeta_fibre(f x), 0, lift_tangent_fibre(f x, w))
-    fprime = into_e(e_new, fbase(e_new), list(range(n, e_new)))
-    lf = compose(fprime, b.lift)
-    e_old = b.total.dim
-    lift = PolyMap(
-        e_new,
-        tuple(Polynomial.variable(e_new, i) for i in range(n))
-        + tuple(zf.components[pos].substitute([Polynomial.variable(e_new, i) for i in range(n)]) for pos in b.fibre_coords)
-        + tuple(Polynomial.zero(e_new) for _ in range(n))
-        + tuple(lf.components[e_old + pos] for pos in b.fibre_coords),
-    )
-    return DiffBundle(new_total, new_base, tuple(range(n)), sigma, zeta, lift)
 
 
 def bundles_equal(a: DiffBundle, b: DiffBundle) -> bool:

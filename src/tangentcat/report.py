@@ -45,6 +45,10 @@ class Report:
         self.add(CheckRecord(name, law, Status.PASS if ok else Status.FAIL, None if ok else witness))
         return ok
 
+    def summary(self, name: str, law: str, sub: "Report") -> bool:
+        """Record a sub-report as one check, witnessed by its failing names."""
+        return self.check(name, law, sub.passed, "; ".join(r.name for r in sub.failing()) or None)
+
     def cannot_certify(self, name: str, law: str, witness: Optional[str] = None) -> None:
         self.add(CheckRecord(name, law, Status.CANNOT_CERTIFY, witness))
 

@@ -2,8 +2,9 @@
 
 Coefficients serialize as exact fraction strings ("3", "-3/7"); any other
 notation (decimals, exponents, whitespace) is rejected on input, and so are
-JSON booleans where a count or an index is expected.  All encoders are
-deterministic so that identical objects always produce identical bytes.
+JSON booleans where a count or an index is expected; a layout block is a
+[name, positive size] pair.  All encoders are deterministic so that
+identical objects always produce identical bytes.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from .polycore import PolyMap, Polynomial, ShapeError
 from .tangent import Space
@@ -115,9 +116,18 @@ def space_from_json(obj: Any, where: str = "space") -> Space:
     layout = _expect(obj, "layout", where)
     if not _natural(dim):
         raise SerializationError(f"{where}: dim must be a natural number")
+    if not isinstance(layout, list) or any(
+        not isinstance(block, list)
+        or len(block) != 2
+        or not isinstance(block[0], str)
+        or not _natural(block[1])
+        or block[1] == 0
+        for block in layout
+    ):
+        raise SerializationError(f"{where}: layout must be a list of [name, positive size] pairs")
     try:
-        return Space(dim, tuple((str(n), int(k)) for n, k in layout))
-    except (TypeError, ValueError) as exc:
+        return Space(dim, tuple((n, k) for n, k in layout))
+    except ShapeError as exc:
         raise SerializationError(f"{where}: bad layout") from exc
 
 

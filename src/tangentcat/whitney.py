@@ -8,12 +8,13 @@ the base block followed by the fibre blocks in order; any other presentation
 is handled by recognizing a comparison isomorphism onto the canonical model
 and transporting the structure across it.  A biproduct also induces, for each
 summand index, a *partial* bundle structure on the whole total space over
-that summand, which fixes the chosen block and adds the remaining ones.
+that summand, which fixes the chosen block and adds the remaining ones; the
+sum and its partial bundles are built by one construction of the model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .polycore import (
@@ -21,7 +22,6 @@ from .polycore import (
     Polynomial,
     ShapeError,
     compose,
-    compose_all,
     first_difference,
     invert_polymap,
     map_equal,
@@ -34,7 +34,6 @@ from .dbundle import (
     DiffBundle,
     tangent_of_bundle,
     transport_bundle,
-    trivial_bundle,
 )
 
 
@@ -56,14 +55,20 @@ def _lift_tangent_fibre(b: DiffBundle) -> PolyMap:
     return PolyMap(e, tuple(b.lift.components[e + i] for i in b.fibre_coords))
 
 
-def _assemble(b: DiffBundle, dom: int, base: Sequence[Polynomial], fibre: Sequence[Polynomial]) -> PolyMap:
-    """Build a map into the total space of b from base and fibre components."""
-    comps: list[Optional[Polynomial]] = [None] * b.total.dim
-    for pos, p in zip(b.base_coords, base):
-        comps[pos] = p
-    for pos, p in zip(b.fibre_coords, fibre):
-        comps[pos] = p
-    return PolyMap(dom, tuple(c for c in comps if c is not None))
+def _positions(summands: Sequence[DiffBundle], m: int, i: int) -> list[int]:
+    """Where each coordinate of the i-th summand sits in the concatenated model.
+
+    The model is (x, w_1, ..., w_r): the base block of dimension m, then the
+    fibre blocks in summand order.
+    """
+    s = summands[i]
+    start = m + sum(t.fibre_dim for t in summands[:i])
+    pos = [0] * s.total.dim
+    for k, p in enumerate(s.base_coords):
+        pos[p] = k
+    for k, p in enumerate(s.fibre_coords):
+        pos[p] = start + k
+    return pos
 
 
 def _subst(m: PolyMap, args: Sequence[Polynomial]) -> list[Polynomial]:
@@ -109,6 +114,75 @@ class PartialBundle:
     index: int
 
 
+def _section(summands: Sequence[DiffBundle], m: int, fixed: Optional[int] = None) -> PolyMap:
+    """The zero section of the concatenated model, or its ``fixed``-th injection.
+
+    The injection of summand j keeps that summand's own coordinates in the
+    base block and block j and puts zero in every other fibre block; it is
+    also the zero section of the j-th partial bundle.
+    """
+    if fixed is None:
+        dom, base_coords = m, range(m)
+    else:
+        dom, base_coords = summands[fixed].total.dim, summands[fixed].base_coords
+    qb = [Polynomial.variable(dom, p) for p in base_coords]
+    comps: list[Polynomial] = list(qb)
+    for i, s in enumerate(summands):
+        if i == fixed:
+            comps.extend(Polynomial.variable(dom, p) for p in s.fibre_coords)
+        else:
+            comps.extend(_subst(_zeta_fibre(s), qb))
+    return PolyMap(dom, tuple(comps))
+
+
+def _concatenated(
+    summands: Sequence[DiffBundle], base: Space, fixed: Optional[int] = None
+) -> DiffBundle:
+    """The concatenated model (x, w_1, ..., w_r) of a Whitney sum as a bundle.
+
+    With ``fixed`` unset it lies over the common base and adds every block
+    through its summand's addition.  With ``fixed=j`` it is the j-th partial
+    bundle: block j joins the base, which becomes the j-th summand's total
+    space, and only the other blocks are added.
+    """
+    m = base.dim
+    fdims = [s.fibre_dim for s in summands]
+    e = m + sum(fdims)
+    sq = e + sum(f for i, f in enumerate(fdims) if i != fixed)
+    total = Space(e, base.layout + tuple((f"w{i + 1}", f) for i, f in enumerate(fdims) if f))
+
+    def base_vars(dom: int) -> list[Polynomial]:
+        return [Polynomial.variable(dom, k) for k in range(m)]
+
+    # sigma on the square (x, w_1..w_r, then a second copy of each added
+    # block): add each block through the corresponding summand's addition.
+    sigma_comps: list[Polynomial] = base_vars(sq)
+    lift_fibre: list[Polynomial] = []
+    lift_tangent: list[Polynomial] = []
+    extra = e
+    for i, s in enumerate(summands):
+        pos = _positions(summands, m, i)
+        if i == fixed:
+            block = [pos[p] for p in s.fibre_coords]
+            sigma_comps.extend(Polynomial.variable(sq, k) for k in block)
+            lift_fibre.extend(Polynomial.variable(e, k) for k in block)
+            lift_tangent.extend(Polynomial.zero(e) for _ in block)
+            continue
+        pair = PolyMap.selection(sq, pos + list(range(extra, extra + fdims[i])))
+        extra += fdims[i]
+        sigma_comps.extend(compose(pair, _sigma_fibre(s)).components)
+        lift_fibre.extend(_subst(_zeta_fibre(s), base_vars(e)))
+        lift_tangent.extend(compose(PolyMap.selection(e, pos), _lift_tangent_fibre(s)).components)
+    sigma = PolyMap(sq, tuple(sigma_comps))
+    lift = PolyMap(e, tuple(base_vars(e) + lift_fibre + [Polynomial.zero(e)] * m + lift_tangent))
+
+    if fixed is None:
+        over, base_coords = base, tuple(range(m))
+    else:
+        over, base_coords = summands[fixed].total, tuple(_positions(summands, m, fixed))
+    return DiffBundle(total, over, base_coords, sigma, _section(summands, m, fixed), lift)
+
+
 def biproduct(summands: Sequence[DiffBundle], base: Optional[Space] = None) -> BiproductBundle:
     """Form the canonical Whitney sum with concatenated fibre blocks."""
     summands = tuple(summands)
@@ -118,82 +192,15 @@ def biproduct(summands: Sequence[DiffBundle], base: Optional[Space] = None) -> B
         raise ShapeError("an empty biproduct needs an explicit base space")
     if any(s.base.dim != base.dim for s in summands):
         raise ShapeError("biproduct summands must share a base")
-    m = base.dim
-    fdims = [s.fibre_dim for s in summands]
-    starts = []
-    off = m
-    for f in fdims:
-        starts.append(off)
-        off += f
-    e = off
-    layout = base.layout + tuple(
-        (f"w{i + 1}", f) for i, f in enumerate(fdims) if f
-    )
-    total = Space(e, layout)
-
-    def base_vars(dom: int) -> list[Polynomial]:
-        return [Polynomial.variable(dom, i) for i in range(m)]
-
-    def block_vars(dom: int, i: int) -> list[Polynomial]:
-        return [Polynomial.variable(dom, starts[i] + k) for k in range(fdims[i])]
-
-    # sigma on the square (x, w_1..w_r, w'_1..w'_r): add each block through
-    # the corresponding summand's addition map.
-    sq = e + sum(fdims)
-    sq_starts = []
-    off2 = e
-    for f in fdims:
-        sq_starts.append(off2)
-        off2 += f
-    sigma_comps: list[Polynomial] = base_vars(sq)
-    for i, s in enumerate(summands):
-        sq_point = _subst(
-            _assemble(s, sq, base_vars(sq), block_vars(sq, i)),
-            [Polynomial.variable(sq, k) for k in range(sq)],
-        ) + [Polynomial.variable(sq, sq_starts[i] + k) for k in range(fdims[i])]
-        sigma_comps.extend(_subst(_sigma_fibre(s), sq_point))
-    sigma = PolyMap(sq, tuple(sigma_comps))
-
-    zeta_comps: list[Polynomial] = base_vars(m)
-    for s in summands:
-        zeta_comps.extend(_zeta_fibre(s).components)
-    zeta = PolyMap(m, tuple(zeta_comps))
-
-    lift_comps: list[Polynomial] = base_vars(e)
-    for i, s in enumerate(summands):
-        lift_comps.extend(_subst(_zeta_fibre(s), base_vars(e)))
-    lift_comps.extend(Polynomial.zero(e) for _ in range(m))
-    for i, s in enumerate(summands):
-        point = _assemble(s, e, base_vars(e), block_vars(e, i))
-        lift_comps.extend(compose(point, _lift_tangent_fibre(s)).components)
-    lift = PolyMap(e, tuple(lift_comps))
-
-    if not summands:
-        sum_bundle = trivial_bundle(base, 0)
-    else:
-        sum_bundle = DiffBundle(total, base, tuple(range(m)), sigma, zeta, lift)
-
-    projections = tuple(
-        _assemble(s, e, base_vars(e), block_vars(e, i)) for i, s in enumerate(summands)
-    )
-    injections = []
-    for i, s in enumerate(summands):
-        ei = s.total.dim
-        qb = [Polynomial.variable(ei, p) for p in s.base_coords]
-        comps: list[Polynomial] = list(qb)
-        for k, other in enumerate(summands):
-            if k == i:
-                comps.extend(Polynomial.variable(ei, p) for p in s.fibre_coords)
-            else:
-                comps.extend(_subst(_zeta_fibre(other), qb))
-        injections.append(PolyMap(ei, tuple(comps)))
-
-    ident = PolyMap.identity(sum_bundle.total.dim)
+    sum_bundle = _concatenated(summands, base)
+    m, e = base.dim, sum_bundle.total.dim
+    indices = range(len(summands))
+    ident = PolyMap.identity(e)
     return BiproductBundle(
         sum=sum_bundle,
         summands=summands,
-        projections=projections,
-        injections=tuple(injections),
+        projections=tuple(PolyMap.selection(e, _positions(summands, m, i)) for i in indices),
+        injections=tuple(_section(summands, m, i) for i in indices),
         to_canonical=ident,
         from_canonical=ident,
     )
@@ -328,87 +335,14 @@ def recognize_biproduct(
     return Recognition(rep, bp if rep.passed else None)
 
 
-def _canonical_partial(bp: BiproductBundle, j: int) -> DiffBundle:
-    """The j-th partial bundle of the canonical concatenated model."""
-    summands, canon = bp.summands, bp
-    m = canon.summands[0].base.dim if summands else 0
-    fdims = [s.fibre_dim for s in summands]
-    e = m + sum(fdims)
-    starts = []
-    off = m
-    for f in fdims:
-        starts.append(off)
-        off += f
-    sj = summands[j]
-    base_coords = tuple(range(m)) + tuple(range(starts[j], starts[j] + fdims[j]))
-    fibre = sum(f for i, f in enumerate(fdims) if i != j)
-    sq = e + fibre
-    sq_starts = {}
-    off2 = e
-    for i, f in enumerate(fdims):
-        if i != j:
-            sq_starts[i] = off2
-            off2 += f
-
-    def bvars(dom: int) -> list[Polynomial]:
-        return [Polynomial.variable(dom, k) for k in range(m)]
-
-    def block(dom: int, i: int, start: int) -> list[Polynomial]:
-        return [Polynomial.variable(dom, start + k) for k in range(fdims[i])]
-
-    sigma_comps: list[Polynomial] = bvars(sq)
-    for i, s in enumerate(summands):
-        if i == j:
-            sigma_comps.extend(block(sq, i, starts[i]))
-        else:
-            point = _subst(
-                _assemble(s, sq, bvars(sq), block(sq, i, starts[i])),
-                [Polynomial.variable(sq, k) for k in range(sq)],
-            ) + block(sq, i, sq_starts[i])
-            sigma_comps.extend(_subst(_sigma_fibre(s), point))
-    sigma = PolyMap(sq, tuple(sigma_comps))
-
-    # Build the canonical model's own injection for index j as the partial
-    # zero section (its presented injection may live on a different total).
-    ej = sj.total.dim
-    qb = [Polynomial.variable(ej, p) for p in sj.base_coords]
-    zeta_comps: list[Polynomial] = list(qb)
-    for i, s in enumerate(summands):
-        if i == j:
-            zeta_comps.extend(Polynomial.variable(ej, p) for p in sj.fibre_coords)
-        else:
-            zeta_comps.extend(_subst(_zeta_fibre(s), qb))
-    zeta = PolyMap(ej, tuple(zeta_comps))
-
-    lift_comps: list[Polynomial] = bvars(e)
-    for i, s in enumerate(summands):
-        if i == j:
-            lift_comps.extend(block(e, i, starts[i]))
-        else:
-            lift_comps.extend(_subst(_zeta_fibre(s), bvars(e)))
-    lift_comps.extend(Polynomial.zero(e) for _ in range(m))
-    for i, s in enumerate(summands):
-        if i == j:
-            lift_comps.extend(Polynomial.zero(e) for _ in range(fdims[i]))
-        else:
-            point = _assemble(s, e, bvars(e), block(e, i, starts[i]))
-            lift_comps.extend(compose(point, _lift_tangent_fibre(s)).components)
-    lift = PolyMap(e, tuple(lift_comps))
-
-    total = Space.euclidean(e, "y")
-    return DiffBundle(total, sj.total, base_coords, sigma, zeta, lift)
-
-
 def partial_bundle(bp: BiproductBundle, j: int) -> PartialBundle:
     """The structure over the j-th summand that fixes its block and adds the rest."""
     if not 0 <= j < len(bp.summands):
         raise ShapeError(f"partial-bundle index {j} out of range")
-    canon = _canonical_partial(bp, j)
-    if selection_indices(bp.to_canonical) is not None:
-        # canonical presentation: no transport needed beyond relabeling
-        bundle = DiffBundle(
-            bp.sum.total, canon.base, canon.base_coords, canon.sigma, canon.zeta, canon.lift
-        )
+    canon = _concatenated(bp.summands, bp.sum.base, fixed=j)
+    if selection_indices(bp.to_canonical) == tuple(range(bp.sum.total.dim)):
+        # the presented sum is the model itself: only the layout names differ
+        bundle = replace(canon, total=bp.sum.total)
     else:
         bundle = transport_bundle(canon, bp.to_canonical, bp.from_canonical, bp.sum.total)
     return PartialBundle(bundle=bundle, index=j)

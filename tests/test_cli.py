@@ -117,9 +117,14 @@ _ZERO_1 = serialize.poly_to_json(Polynomial.zero(1))
         ("connection", ["gamma"], [[5]], "connection.gamma"),
         ("connection", ["gamma"], 5, "connection.gamma"),
         ("connection", ["gamma"], [[[_ZERO_1, _ZERO_1]]], "connection.gamma"),
+        ("connection", ["bundle", "base", "layout"], [["x", 1.7]], "connection.bundle.base"),
+        ("connection", ["bundle", "base", "layout"], [["x", True]], "connection.bundle.base"),
+        ("connection", ["bundle", "base", "layout"], [["x", "1"]], "connection.bundle.base"),
+        ("connection", ["bundle", "base", "layout"], [[1, 1]], "connection.bundle.base"),
     ],
     ids=["coeff-exponent", "coeff-space", "arity-bool", "terms-int", "component-arity", "exps-bool", "dom-bool",
-         "cod-bool", "dim-bool", "base-coords-bool", "gamma-int-row", "gamma-int", "gamma-ragged"],
+         "cod-bool", "dim-bool", "base-coords-bool", "gamma-int-row", "gamma-int", "gamma-ragged",
+         "layout-float", "layout-bool", "layout-string-size", "layout-int-name"],
 )
 def test_malformed_fields_exit_1_with_location(tmp_path, capsys, kind, field, value, where):
     if kind == "connection":

@@ -1,5 +1,6 @@
 """Connection axioms, effectiveness, derived horizontals, and equivalences."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,7 +15,9 @@ from tangentcat.polycore import (
     map_equal,
 )
 from tangentcat.tangent import Space
+from tangentcat import serialize
 from tangentcat.dbundle import tangent_bundle, trivial_bundle, verify_bundle
+from tangentcat.whitney import biproduct, partial_bundle
 from tangentcat.connection import (
     Connection,
     canonical_connection,
@@ -164,6 +167,27 @@ def test_christoffel_effective():
     report, decomp = check_effective(c)
     assert report.verdict is Status.PASS
     assert decomp is not None
+
+
+def _digest(bundle):
+    return hashlib.sha256(serialize.dumps(serialize.bundle_to_json(bundle)).encode()).hexdigest()
+
+
+def test_partial_bundle_bytes_are_pinned():
+    # Serialized partial bundles of a plain three-summand sum and of the
+    # decomposition of a seeded Christoffel connection, pinned byte for byte.
+    tm = tangent_bundle(Space.euclidean(1))
+    bp = biproduct([tm, trivial_bundle(Space.euclidean(1), 2), tm])
+    assert [_digest(partial_bundle(bp, j).bundle) for j in range(3)] == [
+        "a94d3423f7e6c4f9394ab7cc4f49701b5fd9ae90ee2163695d71146239335ed5",
+        "a68de13ef328bcb53613af4fb7e116b2e6589a9d89b24bb556a2495c97db7254",
+        "4b0ade4fcb8e1bfd0e6adbeabcd7e576782dd523452a1852199cd6c537279876",
+    ]
+    _, decomp = check_effective(random_christoffel(2, random.Random(3)))
+    assert [_digest(partial_bundle(decomp.biproduct, j).bundle) for j in range(2)] == [
+        "8b085302a17c3793783d7207a0c1795d08ae4141112ca21a88bf8b5886a9dc0c",
+        "b77af603516342eddc0823e66493899f4060494c7182a135347f1b4cf86d100c",
+    ]
 
 
 # ------------------------------------------------------- derived horizontals

@@ -20,7 +20,6 @@ from tangentcat.dbundle import (
     bundles_equal,
     linear_morphism_report,
     mu_map,
-    pullback_bundle,
     tangent_bundle,
     tangent_of_bundle,
     transport_bundle,
@@ -102,20 +101,6 @@ def test_nonlinear_sigma_cannot_certify_universality():
     weird = DiffBundle(total, base, (0,), sigma, zeta, lift)
     report = verify_bundle(weird)
     assert report.verdict in (Status.FAIL, Status.CANNOT_CERTIFY)
-
-
-def test_pullback_of_tangent_bundle():
-    f = PolyMap.from_components(1, [x(1, 0) * x(1, 0)])
-    pulled = pullback_bundle(f, tangent_bundle(Space.euclidean(1)))
-    assert verify_bundle(pulled).verdict is Status.PASS
-    top = PolyMap.from_components(2, [x(2, 0) * x(2, 0), x(2, 1)])  # (x, w) -> (f(x), w)
-    assert linear_morphism_report("pullback", top, f, pulled, tangent_bundle(Space.euclidean(1))).passed
-
-
-def test_pullback_along_identity_is_identity():
-    b = trivial_bundle(Space.euclidean(2), 1)
-    pulled = pullback_bundle(PolyMap.identity(2), b)
-    assert bundles_equal(pulled, b)
 
 
 def test_linear_morphism_detects_non_example():

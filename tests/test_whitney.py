@@ -16,6 +16,7 @@ from tangentcat.dbundle import (
     bundles_equal,
     linear_morphism_report,
     tangent_bundle,
+    tangent_of_bundle,
     trivial_bundle,
     verify_bundle,
 )
@@ -174,14 +175,47 @@ def test_recognize_rejects_mismatched_bases():
 # ---------------------------------------------------------- partial bundles
 
 
-def test_partial_bundles_verify_and_match_injections():
-    tm = tangent_bundle(Space.euclidean(1))
-    tv = trivial_bundle(Space.euclidean(1), 2)
-    bp = biproduct([tm, tv, tm])
-    for j in range(3):
+def _with_tangent(b):
+    """The summands of E x_M TM = E + TM, the domain of a horizontal map."""
+    return [b, tangent_bundle(b.base)]
+
+
+@pytest.mark.parametrize(
+    "summands",
+    [
+        pytest.param(
+            [tangent_bundle(Space.euclidean(1)), trivial_bundle(Space.euclidean(1), 2),
+             tangent_bundle(Space.euclidean(1))],
+            id="tm-tv-tm",
+        ),
+        pytest.param(_with_tangent(tangent_bundle(Space.euclidean(1))), id="TR1-TM"),
+        pytest.param(_with_tangent(tangent_bundle(Space.euclidean(2))), id="TR2-TM"),
+        pytest.param(_with_tangent(trivial_bundle(Space.euclidean(2), 1)), id="R2xR-TM"),
+        # T(TM) has base coordinates (0, 2), not leading ones.
+        pytest.param([tangent_of_bundle(tangent_bundle(Space.euclidean(1)))] * 2, id="TTM-TTM"),
+    ],
+)
+def test_partial_bundles_verify_and_match_injections(summands):
+    bp = biproduct(summands)
+    for j in range(len(summands)):
         pb = partial_bundle(bp, j)
         assert verify_bundle(pb.bundle).verdict is Status.PASS
         assert map_equal(pb.bundle.zeta, bp.injections[j])
+        assert map_equal(pb.bundle.q, bp.projections[j])
+
+
+def test_partials_of_a_permuted_presentation():
+    tv = trivial_bundle(Space.euclidean(1), 1)
+    tm = tangent_bundle(Space.euclidean(1))
+    bp = biproduct([tv, tm])
+    perm = PolyMap.selection(3, [0, 2, 1])
+    rec = recognize_biproduct(bp.sum.total, [compose(perm, p) for p in bp.projections], bp.summands)
+    assert rec.biproduct is not None
+    for j in range(2):
+        pb = partial_bundle(rec.biproduct, j)
+        assert map_equal(pb.bundle.q, rec.biproduct.projections[j])
+        assert map_equal(pb.bundle.zeta, rec.biproduct.injections[j])
+        assert verify_bundle(pb.bundle).verdict is Status.PASS
 
 
 def test_first_partial_of_double_tangent():
