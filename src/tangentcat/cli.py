@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
+from dataclasses import replace
 from typing import Optional
 
 from .polycore import Polynomial, ShapeError
@@ -123,12 +123,13 @@ def _exit_code(report: Report) -> int:
 def _connection_gate(c: Connection) -> tuple[Report, Optional[Connection], Optional[object]]:
     """Run the full chain: vertical, effectiveness, derived H, horizontal, pair."""
     rep = Report(subject="connection gate")
-    rep.extend(check_vertical(c), prefix="vertical: ")
-    eff, decomp = check_effective(c)
+    vert = check_vertical(c)
+    rep.extend(vert, prefix="vertical: ")
+    eff, decomp = check_effective(c, vert)
     rep.extend(eff, prefix="effectiveness: ")
     if decomp is None:
         return rep, None, None
-    full = c if c.H is not None else derive_horizontal(c)
+    full = c if c.H is not None else replace(c, H=decomp.horizontal())
     rep.extend(check_horizontal(full), prefix="horizontal: ")
     rep.extend(check_pair(full), prefix="pair: ")
     return rep, full, decomp
@@ -196,10 +197,10 @@ def cmd_decompose(args) -> int:
     limit = _max_degree_limit(args.max_degree)
     c = serialize.connection_from_json(_load_json(args.path))
     _guard_connection(c, limit)
-    try:
-        point = [Fraction(tok) for tok in args.point.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SerializationError(f"bad point {args.point!r}: {exc}") from exc
+    point = [
+        serialize.fraction_from_str(tok, f"point {args.point!r}, coordinate {i + 1}")
+        for i, tok in enumerate(args.point.split(","))
+    ]
     if len(point) != 2 * c.bundle.total.dim:
         raise SerializationError(
             f"point has {len(point)} coordinates; expected {2 * c.bundle.total.dim}"

@@ -25,7 +25,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -36,9 +36,6 @@ from .polycore import (
     compose,
     compose_all,
     eval_map,
-    first_difference,
-    invert_polymap,
-    map_equal,
     power_pair,
 )
 from .report import Report, Status
@@ -90,36 +87,44 @@ class Connection:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """TE presented as a three-summand Whitney sum through an invertible pairing."""
+    """TE presented as a three-summand Whitney sum through an invertible pairing.
 
-    theta: PolyMap
-    theta_inv: PolyMap
+    The pairing theta = <p_E, T(q), K> : TE -> E x_M TM x_M E is the
+    comparison map of the sum onto its concatenated model.
+    """
+
     biproduct: BiproductBundle
     total: DiffBundle  # the same bundle as biproduct.sum
+
+    @property
+    def theta(self) -> PolyMap:
+        return self.biproduct.to_canonical
+
+    @property
+    def theta_inv(self) -> PolyMap:
+        return self.biproduct.from_canonical
+
+    def horizontal(self) -> PolyMap:
+        """H = iota_12 ; theta^-1, with iota_12 (x, w, u) -> (x, w, u, zero fibre)."""
+        b = self.biproduct.summands[0]
+        hat = b.total.dim + b.base.dim
+        base = [Polynomial.variable(hat, i) for i in range(b.base.dim)]
+        iota12 = PolyMap(
+            hat,
+            tuple(Polynomial.variable(hat, i) for i in range(hat))
+            + tuple(z.substitute(base) for z in _zeta_fibre(b).components),
+        )
+        return compose(iota12, self.theta_inv)
 
 
 def horizontal_proj_total(b: DiffBundle) -> PolyMap:
     return PolyMap.selection(b.total.dim + b.base.dim, range(b.total.dim))
 
 
-def horizontal_proj_tangent(b: DiffBundle) -> PolyMap:
-    e, m = b.total.dim, b.base.dim
-    return PolyMap.selection(e + m, list(range(m)) + list(range(e, e + m)))
-
-
 def section_target(b: DiffBundle) -> PolyMap:
     """U = <p_E, T(q)> : TE -> E x_M TM."""
     e, m = b.total.dim, b.base.dim
     return PolyMap.selection(2 * e, list(range(e)) + list(range(e, e + m)))
-
-
-def theta_map(b: DiffBundle, K: PolyMap) -> PolyMap:
-    """The three-way pairing <p_E, T(q), K> : TE -> E x_M TM x_M E."""
-    e, m = b.total.dim, b.base.dim
-    comps = tuple(Polynomial.variable(2 * e, i) for i in range(e + m)) + tuple(
-        K.components[i] for i in b.fibre_coords
-    )
-    return PolyMap(2 * e, comps)
 
 
 def check_vertical(c: Connection) -> Report:
@@ -214,44 +219,57 @@ def check_pair(c: Connection) -> Report:
     return rep
 
 
-def check_effective(c: Connection) -> tuple[Report, Optional[Decomposition]]:
-    """Invert the three-way pairing and transport the Whitney-sum structure."""
+@dataclass(frozen=True)
+class _Effectiveness:
+    """The effectiveness report with the parts ``equivalence_suite`` compares."""
+
+    report: Report
+    decomposition: Optional[Decomposition] = None
+    inverted: bool = False  # the pairing inverted, so the sum was examined
+    # the injections against the structural maps, once the sum is recognized
+    injections: Report = field(default_factory=lambda: Report(subject="injections"))
+
+
+def _effectiveness(c: Connection, vertical: Optional[Report]) -> _Effectiveness:
     b = c.bundle
     rep = Report(subject="effectiveness")
-    vert = check_vertical(c)
+    vert = check_vertical(c) if vertical is None else vertical
     rep.summary("gate", "the vertical identities hold", vert)
     if not vert.passed:
-        return rep, None
-    theta = theta_map(b, c.K)
-    theta_inv = invert_polymap(theta)
-    if theta_inv is None:
-        rep.cannot_certify(
-            "pairing inversion",
-            "the three-way pairing has a two-sided polynomial inverse",
-            "no inverse found by back-substitution",
-        )
-        return rep, None
-    rep.check("pairing inversion", "two-sided polynomial inverse found", True, None)
+        return _Effectiveness(rep)
     summands = (b, tangent_bundle(b.base), b)
     projections = (
         PolyMap.selection(2 * b.total.dim, range(b.total.dim)),
         T_map(b.q),
         c.K,
     )
-    recog = recognize_biproduct(T_obj(b.total), projections, summands, inverse=theta_inv)
+    # The comparison map of this sum is the pairing theta.  The vertical gate
+    # makes the three projections agree on the base, so the recognition stops
+    # before the inversion of theta only where theta has no inverse.
+    recog = recognize_biproduct(T_obj(b.total), projections, summands)
+    if recog.inverse is None:
+        rep.cannot_certify(
+            "pairing inversion",
+            "the three-way pairing has a two-sided polynomial inverse",
+            "no inverse found by back-substitution",
+        )
+        return _Effectiveness(rep)
+    rep.check("pairing inversion", "two-sided polynomial inverse found", True, None)
     rep.extend(recog.report, prefix="Whitney sum: ")
     if recog.biproduct is None:
-        return rep, None
+        return _Effectiveness(rep, inverted=True)
+    injections = Report(subject="injections")
     expected = (zero_0(b.total), T_map(b.zeta), b.lift)
     for name, got, want in zip(
         ("first", "second", "third"), recog.biproduct.injections, expected
     ):
-        rep.check_equal(
+        injections.check_equal(
             f"{name} injection",
             "injection matches the structural map",
             got,
             want,
         )
+    rep.extend(injections)
     first = partial_bundle(recog.biproduct, 0).bundle
     second = partial_bundle(recog.biproduct, 1).bundle
     d1 = bundle_difference(first, tangent_bundle(b.total))
@@ -268,27 +286,22 @@ def check_effective(c: Connection) -> tuple[Report, Optional[Decomposition]]:
         d2 is None,
         d2,
     )
-    if not rep.passed:
-        return rep, None
-    decomp = Decomposition(
-        theta=theta,
-        theta_inv=theta_inv,
-        biproduct=recog.biproduct,
-        total=recog.biproduct.sum,
-    )
-    return rep, decomp
+    decomp = None
+    if rep.passed:
+        decomp = Decomposition(biproduct=recog.biproduct, total=recog.biproduct.sum)
+    return _Effectiveness(rep, decomp, True, injections)
 
 
-def _iota12_canonical(b: DiffBundle) -> PolyMap:
-    """(x, w, u) -> (x, w, u, zero fibre) into the concatenated three-sum model."""
-    e, m = b.total.dim, b.base.dim
-    hat = e + m
-    zfib = _zeta_fibre(b)
-    base = [Polynomial.variable(hat, i) for i in range(m)]
-    comps = tuple(Polynomial.variable(hat, i) for i in range(hat)) + tuple(
-        z.substitute(base) for z in zfib.components
-    )
-    return PolyMap(hat, comps)
+def check_effective(
+    c: Connection, vertical: Optional[Report] = None
+) -> tuple[Report, Optional[Decomposition]]:
+    """Invert the three-way pairing and transport the Whitney-sum structure.
+
+    ``vertical`` is the ``check_vertical(c)`` report when the caller already
+    has it; otherwise the vertical identities are checked here.
+    """
+    eff = _effectiveness(c, vertical)
+    return eff.report, eff.decomposition
 
 
 def derive_horizontal(c: Connection) -> Connection:
@@ -299,17 +312,7 @@ def derive_horizontal(c: Connection) -> Connection:
             "horizontal derivation needs an effective vertical map: "
             + "; ".join(r.name for r in rep.failing())
         )
-    H = compose(_iota12_canonical(c.bundle), decomp.theta_inv)
-    b = c.bundle
-    for name, proj, want in (
-        ("first", PolyMap.selection(2 * b.total.dim, range(b.total.dim)), horizontal_proj_total(b)),
-        ("second", T_map(b.q), horizontal_proj_tangent(b)),
-        ("third", c.K, compose_all(horizontal_proj_total(b), b.q, b.zeta)),
-    ):
-        diff = first_difference(compose(H, proj), want)
-        if diff is not None:
-            raise ShapeError(f"derived H fails its {name} component equation: {diff}")
-    return replace(c, H=H)
+    return replace(c, H=decomp.horizontal())
 
 
 def christoffel_connection(
@@ -384,28 +387,32 @@ def recompose_point(
 def equivalence_suite(c: Connection) -> Report:
     """Check that the four presentations of a connection agree on this instance.
 
-    The four legs: a compatible pair (K, H) exists; the three-way pairing is
-    invertible; TE is a Whitney sum with the stated projections, injections,
+    The four legs: a compatible pair (K, H) exists, with H read off the
+    decomposition when none is supplied; K is an effective vertical map; TE
+    is the Whitney sum E + TM + E with the stated projections, injections
     and first/second partial structures; K retracts the lift and the pairing
-    exhibits a product with those partial structures.  For a genuine
-    connection all legs pass; for a defective K all legs must fail together.
+    exhibits that product, whose projections are fixed but whose injections
+    are not.  The legs share one vertical check and one effectiveness check.
+    For a genuine connection all legs pass; for a defective K all legs must
+    fail together.
     """
     b = c.bundle
     rep = Report(subject="equivalence of presentations")
     vert = check_vertical(c)
-    eff_rep, decomp = check_effective(c)
+    eff = _effectiveness(c, vert)
+    eff_rep, decomp = eff.report, eff.decomposition
 
     # Leg 1: some H makes (K, H) a full connection pair.
-    leg1_witness = None
     if decomp is not None:
-        candidate = c if c.H is not None else replace(c, H=compose(_iota12_canonical(b), decomp.theta_inv))
+        candidate = c if c.H is not None else replace(c, H=decomp.horizontal())
         hor = check_horizontal(candidate)
         pair = check_pair(candidate)
-        leg1_ok = vert.passed and hor.passed and pair.passed
-        leg1_witness = "; ".join(
-            r.name for r in (*vert.failing(), *hor.failing(), *pair.failing())
-        ) or None
-        rep.check("pair presentation", "a compatible horizontal map exists", leg1_ok, leg1_witness)
+        rep.check(
+            "pair presentation",
+            "a compatible horizontal map exists",
+            hor.passed and pair.passed,
+            "; ".join(r.name for r in (*hor.failing(), *pair.failing())) or None,
+        )
     elif eff_rep.verdict is Status.CANNOT_CERTIFY and vert.passed:
         rep.cannot_certify(
             "pair presentation",
@@ -426,40 +433,29 @@ def equivalence_suite(c: Connection) -> Report:
     else:
         rep.summary("effective presentation", "vertical identities hold and the pairing inverts", eff_rep)
 
-    # Legs 3 and 4 share the structural comparisons computed in check_effective.
-    structural = [
-        r
-        for r in eff_rep.records
-        if r.name.startswith(("Whitney sum", "first", "second", "third"))
-    ]
-    structural_failures = [r.name for r in structural if r.status is Status.FAIL]
-    attempted = bool(structural)
-    if not attempted:
-        if eff_rep.verdict is Status.CANNOT_CERTIFY and vert.passed:
-            rep.cannot_certify("sum presentation", "TE is the stated Whitney sum", "pairing inversion unresolved")
-            rep.cannot_certify("product presentation", "retraction plus the stated product", "pairing inversion unresolved")
-        else:
-            why = "; ".join(r.name for r in vert.failing()) or "pairing not invertible"
-            rep.check("sum presentation", "TE is the stated Whitney sum", False, why)
-            rep.check("product presentation", "retraction plus the stated product", False, why)
+    # Legs 3 and 4 share the structural comparisons made once the pairing
+    # inverts; the gate has passed by then, so K retracts the lift.
+    if not eff.inverted and vert.passed:
+        rep.cannot_certify("sum presentation", "TE is the stated Whitney sum", "pairing inversion unresolved")
+        rep.cannot_certify("product presentation", "retraction plus the stated product", "pairing inversion unresolved")
+    elif not eff.inverted:
+        why = "; ".join(r.name for r in vert.failing())
+        rep.check("sum presentation", "TE is the stated Whitney sum", False, why)
+        rep.check("product presentation", "retraction plus the stated product", False, why)
     else:
+        failures = [r for r in eff_rep.records if r.status is Status.FAIL]
+        product = [r for r in failures if r not in eff.injections.records]
         rep.check(
             "sum presentation",
             "TE is the stated Whitney sum with structural injections and partials",
-            not structural_failures and eff_rep.passed,
-            "; ".join(structural_failures) or None,
+            eff_rep.passed,
+            "; ".join(r.name for r in failures) or None,
         )
-        retraction = map_equal(compose(b.lift, c.K), PolyMap.identity(b.total.dim))
-        product_failures = [
-            n
-            for n in structural_failures
-            if not n.endswith("injection")  # the product leg does not fix injections
-        ]
         rep.check(
             "product presentation",
             "K retracts the lift and the pairing exhibits the stated product",
-            retraction and not product_failures,
-            ("retraction fails; " if not retraction else "") + "; ".join(product_failures) or None,
+            not product,
+            "; ".join(r.name for r in product) or None,
         )
 
     if bundles_equal(b, tangent_bundle(b.base)) and decomp is not None:

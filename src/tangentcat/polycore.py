@@ -163,11 +163,6 @@ class Polynomial:
                     used.add(i)
         return used
 
-    def degree_in(self, indices: Iterable[int]) -> int:
-        """Maximum joint degree of this polynomial in the given variables."""
-        idx = set(indices)
-        return max((sum(e for i, e in enumerate(exps) if i in idx) for exps, _ in self.terms), default=0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -241,25 +241,28 @@ def biproduct_laws(bp: BiproductBundle) -> Report:
 
 @dataclass(frozen=True)
 class Recognition:
-    """Outcome of presenting a space as a Whitney sum via given projections."""
+    """Outcome of presenting a space as a Whitney sum via given projections.
+
+    ``inverse`` is the inverse of the comparison map once it has been found,
+    even when a later check refutes the sum.
+    """
 
     report: Report
     biproduct: Optional[BiproductBundle]
+    inverse: Optional[PolyMap] = None
 
 
 def recognize_biproduct(
     total: Space,
     projections: Sequence[PolyMap],
     summands: Sequence[DiffBundle],
-    inverse: Optional[PolyMap] = None,
 ) -> Recognition:
     """Decide whether the projections present ``total`` as a Whitney sum.
 
     Assembles the comparison map onto the canonical concatenated model and
-    looks for a two-sided polynomial inverse (``inverse`` may supply one).
-    On success the canonical structure is transported back across the
-    comparison isomorphism; an unsolved inversion yields cannot-certify,
-    never refutation.
+    looks for a two-sided polynomial inverse.  On success the canonical
+    structure is transported back across the comparison isomorphism; an
+    unsolved inversion yields cannot-certify, never refutation.
     """
     rep = Report(subject="biproduct recognition")
     summands = tuple(summands)
@@ -292,24 +295,14 @@ def recognize_biproduct(
     for p, s in zip(projections, summands):
         comps.extend(p.components[k] for k in s.fibre_coords)
     psi = PolyMap(total.dim, tuple(comps))
-
-    if inverse is not None:
-        ok = map_equal(compose(psi, inverse), PolyMap.identity(total.dim)) and map_equal(
-            compose(inverse, psi), PolyMap.identity(total.dim)
+    psi_inv = invert_polymap(psi)
+    if psi_inv is None:
+        rep.cannot_certify(
+            "comparison inversion",
+            "comparison map onto the concatenated model is invertible",
+            "no polynomial inverse found",
         )
-        if not ok:
-            rep.check("witness inverse", "supplied inverse is two-sided", False, None)
-            return Recognition(rep, None)
-        psi_inv = inverse
-    else:
-        psi_inv = invert_polymap(psi)
-        if psi_inv is None:
-            rep.cannot_certify(
-                "comparison inversion",
-                "comparison map onto the concatenated model is invertible",
-                "no polynomial inverse found",
-            )
-            return Recognition(rep, None)
+        return Recognition(rep, None)
     rep.check("comparison isomorphism", "two-sided polynomial inverse found", True, None)
     rep.check_equal(
         "tangential",
@@ -321,7 +314,7 @@ def recognize_biproduct(
         sum_here = transport_bundle(canon.sum, psi, psi_inv, total)
     except ShapeError as exc:
         rep.cannot_certify("standard position", "transported projection is a coordinate selection", str(exc))
-        return Recognition(rep, None)
+        return Recognition(rep, None, psi_inv)
     injections = tuple(compose(inj, psi_inv) for inj in canon.injections)
     bp = BiproductBundle(
         sum=sum_here,
@@ -332,7 +325,7 @@ def recognize_biproduct(
         from_canonical=psi_inv,
     )
     rep.extend(biproduct_laws(bp))
-    return Recognition(rep, bp if rep.passed else None)
+    return Recognition(rep, bp if rep.passed else None, psi_inv)
 
 
 def partial_bundle(bp: BiproductBundle, j: int) -> PartialBundle:

@@ -10,7 +10,7 @@ from tangentcat import serialize
 from tangentcat.cli import main
 from tangentcat.polycore import Polynomial, PolyMap
 from tangentcat.tangent import Space
-from tangentcat.connection import canonical_connection, christoffel_connection
+from tangentcat.connection import Connection, canonical_connection, christoffel_connection
 
 
 def write_connection(tmp_path, c, name="conn.json"):
@@ -249,6 +249,35 @@ def test_decompose_bad_point_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["decompose", path, "1,2"]) == 1
     assert "expected" in capsys.readouterr().err
+    # coordinates follow the document notation: no decimals, exponents,
+    # padding or digit separators
+    for point in ("1,2,3,0.5", "1e0,2,3,4", " 1,2,3,4", "1_0,2,3,4", "1,2,3,4/0"):
+        assert main(["decompose", path, point]) == 1
+        assert "coordinate" in capsys.readouterr().err
+
+
+def test_verify_checks_vertical_and_effectiveness_once(tmp_path, monkeypatch, capsys):
+    import tangentcat.cli as cli
+    import tangentcat.connection as connection
+
+    calls = {"check_vertical": 0, "check_effective": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # cli binds the names at import time, so both modules get the counter
+    for name in calls:
+        wrapper = counted(name, getattr(connection, name))
+        monkeypatch.setattr(connection, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    c = canonical_connection(1)
+    path = write_connection(tmp_path, Connection(bundle=c.bundle, K=c.K))
+    assert main(["verify", path]) == 0
+    assert calls == {"check_vertical": 1, "check_effective": 1}
 
 
 # --------------------------------------------------------------------- demo
