@@ -15,7 +15,6 @@ from .tangent import (
 )
 from .dbundle import (
     DiffBundle,
-    bundles_equal,
     linear_morphism_report,
     mu_map,
     tangent_bundle,

@@ -57,25 +57,6 @@ def _max_degree_limit(flag: Optional[int]) -> int:
     return DEFAULT_MAX_DEGREE
 
 
-def _guard_connection(c: Connection, limit: int) -> None:
-    degrees = [c.bundle.sigma.max_degree(), c.bundle.zeta.max_degree(), c.bundle.lift.max_degree(), c.K.max_degree()]
-    if c.H is not None:
-        degrees.append(c.H.max_degree())
-    worst = max(degrees, default=0)
-    if worst > limit:
-        raise DegreeError(
-            f"input degree {worst} exceeds the guard ({limit}); raise --max-degree to proceed"
-        )
-
-
-def _guard_bundle(b, limit: int) -> None:
-    worst = max(b.sigma.max_degree(), b.zeta.max_degree(), b.lift.max_degree())
-    if worst > limit:
-        raise DegreeError(
-            f"input degree {worst} exceeds the guard ({limit}); raise --max-degree to proceed"
-        )
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -84,6 +65,25 @@ def _load_json(path: str):
         raise SerializationError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SerializationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def _read(args, kind: str = "connection"):
+    """Read, parse and degree-guard the bundle or connection document at ``args.path``."""
+    limit = _max_degree_limit(args.max_degree)
+    doc = _load_json(args.path)
+    if kind == "bundle":
+        parsed = serialize.bundle_from_json(doc)
+        maps = [parsed.sigma, parsed.zeta, parsed.lift]
+    else:
+        parsed = serialize.connection_from_json(doc)
+        b = parsed.bundle
+        maps = [b.sigma, b.zeta, b.lift, parsed.K] + ([] if parsed.H is None else [parsed.H])
+    worst = max(m.max_degree() for m in maps)
+    if worst > limit:
+        raise DegreeError(
+            f"input degree {worst} exceeds the guard ({limit}); raise --max-degree to proceed"
+        )
+    return parsed
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -136,16 +136,10 @@ def _connection_gate(c: Connection) -> tuple[Report, Optional[Connection], Optio
 
 
 def cmd_verify(args) -> int:
-    limit = _max_degree_limit(args.max_degree)
-    doc = _load_json(args.path)
     if args.kind == "bundle":
-        b = serialize.bundle_from_json(doc)
-        _guard_bundle(b, limit)
-        report = verify_bundle(b)
+        report = verify_bundle(_read(args, "bundle"))
     else:
-        c = serialize.connection_from_json(doc)
-        _guard_connection(c, limit)
-        report, _, _ = _connection_gate(c)
+        report, _, _ = _connection_gate(_read(args))
     _emit(report, args.format)
     return _exit_code(report)
 
@@ -156,9 +150,7 @@ def _sidecar(path: str, tag: str) -> str:
 
 
 def cmd_derive_h(args) -> int:
-    limit = _max_degree_limit(args.max_degree)
-    c = serialize.connection_from_json(_load_json(args.path))
-    _guard_connection(c, limit)
+    c = _read(args)
     try:
         full = derive_horizontal(Connection(bundle=c.bundle, K=c.K, gamma=c.gamma))
     except ShapeError as exc:
@@ -175,11 +167,9 @@ def cmd_derive_h(args) -> int:
 
 
 def cmd_total_bundle(args) -> int:
-    limit = _max_degree_limit(args.max_degree)
-    c = serialize.connection_from_json(_load_json(args.path))
+    c = _read(args)
     if c.bundle.base.dim == 0:
         raise SerializationError("total-bundle needs a base of positive dimension")
-    _guard_connection(c, limit)
     eff, decomp = check_effective(c)
     if decomp is None:
         _emit(eff, args.format)
@@ -194,9 +184,7 @@ def cmd_total_bundle(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    limit = _max_degree_limit(args.max_degree)
-    c = serialize.connection_from_json(_load_json(args.path))
-    _guard_connection(c, limit)
+    c = _read(args)
     point = [
         serialize.fraction_from_str(tok, f"point {args.point!r}, coordinate {i + 1}")
         for i, tok in enumerate(args.point.split(","))

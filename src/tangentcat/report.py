@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
-from .polycore import PolyMap, first_difference, map_equal
+from .polycore import PolyMap, ShapeError, first_difference, map_equal
 
 
 class Status(str, Enum):
@@ -40,6 +40,18 @@ class Report:
             return True
         self.add(CheckRecord(name, law, Status.FAIL, first_difference(lhs, rhs)))
         return False
+
+    def check_built(self, name: str, law: str, build: Callable[[], tuple[PolyMap, PolyMap]]) -> bool:
+        """Record the equality of the two maps ``build()`` returns.
+
+        A pairing that cannot be formed, because its parts lie over different
+        base points, refutes the law; its message is the witness.
+        """
+        try:
+            lhs, rhs = build()
+        except ShapeError as exc:
+            return self.check(name, law, False, str(exc))
+        return self.check_equal(name, law, lhs, rhs)
 
     def check(self, name: str, law: str, ok: bool, witness: Optional[str] = None) -> bool:
         self.add(CheckRecord(name, law, Status.PASS if ok else Status.FAIL, None if ok else witness))

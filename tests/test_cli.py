@@ -48,20 +48,36 @@ def test_verify_bundle_passes(tmp_path, capsys):
     assert "verdict: pass" in capsys.readouterr().out
 
 
-def test_verify_corrupted_lift_exits_2(tmp_path, capsys):
-    from tangentcat.dbundle import tangent_bundle
+# Mutants of the trivial bundle over R on (x, w): lambda = (x, 0, 0, w) lists
+# the (x, w, dx, dw) slots and sigma = (x, w1 + w2) is defined on (x, w1, w2).
+# In all but the first, some pairing of the axioms cannot be formed.
+@pytest.mark.parametrize(
+    "field, slot, value, record",
+    [
+        ("lambda", 3, lambda v: v[0] * v[1], "axiom 5"),
+        ("lambda", 0, lambda v: v[0] + v[1], "axiom 4: comparison map"),
+        ("lambda", 2, lambda v: v[1], "axiom 4: comparison map"),
+        ("lambda", 1, lambda v: v[1], "axiom 3: (lift, zeta) additive"),
+        ("lambda", 0, lambda v: v[0] + v[0], "axiom 4: comparison map"),
+        ("sigma", 0, lambda v: v[0] + v[1], "associativity"),
+        ("sigma", 0, lambda v: v[0] + v[2], "associativity"),
+    ],
+    ids=["dw-slot-xw", "x-slot+w", "dx-slot+w", "w-slot+w", "x-slot+x", "sigma-x+w1", "sigma-x+w2"],
+)
+def test_verify_corrupted_lift_exits_2(tmp_path, capsys, field, slot, value, record):
+    from tangentcat.dbundle import trivial_bundle
 
-    b = tangent_bundle(Space.euclidean(1))
-    doc = serialize.bundle_to_json(b)
-    doc["lambda"]["components"][3] = serialize.poly_to_json(
-        Polynomial.variable(2, 0) * Polynomial.variable(2, 1)
+    doc = serialize.bundle_to_json(trivial_bundle(Space.euclidean(1), 1))
+    arity = doc[field]["dom"]
+    doc[field]["components"][slot] = serialize.poly_to_json(
+        value([Polynomial.variable(arity, i) for i in range(arity)])
     )
     path = tmp_path / "bad.json"
     path.write_text(serialize.dumps(doc))
-    assert main(["verify", "--kind", "bundle", str(path)]) == 2
-    out = capsys.readouterr().out
-    assert "verdict: fail" in out
-    assert "axiom 2" in out
+    assert main(["--format", "json", "verify", "--kind", "bundle", str(path)]) == 2
+    checks = {r["name"]: r for r in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks[record]["status"] == "fail"
+    assert checks[record]["witness"]
 
 
 @pytest.mark.parametrize("component", [0, 1])  # the x and the w output of H
@@ -76,6 +92,31 @@ def test_verify_H_off_the_base_point_exits_2(tmp_path, capsys, component):
     record = checks["pair: decomposition of the identity"]
     assert record["status"] == "fail"
     assert "inconsistent values" in record["witness"]
+
+
+# sigma is defined on (x, t1, t2) and zeta on (x); each mutant adds the last
+# variable to one component, so the bundle is not a differential bundle.
+@pytest.mark.parametrize("command", ["verify", "derive-h", "total-bundle", "decompose"])
+@pytest.mark.parametrize(
+    "field, slot", [("sigma", 1), ("sigma", 0), ("zeta", 1)], ids=["sigma-fibre", "sigma-base", "zeta-fibre"]
+)
+@pytest.mark.parametrize(
+    "connection", [canonical_connection(1), christoffel_linear()], ids=["canonical", "christoffel"]
+)
+def test_connection_commands_refute_a_broken_bundle(tmp_path, capsys, connection, field, slot, command):
+    doc = serialize.connection_to_json(connection)
+    spot = doc["bundle"][field]
+    last = Polynomial.variable(spot["dom"], spot["dom"] - 1)
+    old = serialize.poly_from_json(spot["components"][slot])
+    spot["components"][slot] = serialize.poly_to_json(old + last)
+    path = tmp_path / "broken.json"
+    path.write_text(serialize.dumps(doc))
+    argv = ["--format", "json", command, str(path)] + (["1,2,3,4"] if command == "decompose" else [])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    failing = [r for r in json.loads(out)["checks"] if r["status"] == "fail"]
+    assert failing and all(r.get("witness") for r in failing)
 
 
 def test_verify_malformed_json_exits_1(tmp_path, capsys):

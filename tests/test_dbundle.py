@@ -15,9 +15,7 @@ from tangentcat.polycore import (
 from tangentcat.tangent import Space, T_map, zero_0
 from tangentcat.dbundle import (
     DiffBundle,
-    EngineError,
     bundle_difference,
-    bundles_equal,
     linear_morphism_report,
     mu_map,
     tangent_bundle,
@@ -123,7 +121,6 @@ def test_transport_roundtrip():
     moved = transport_bundle(b, psi, psi, b.total)
     assert verify_bundle(moved).verdict is Status.PASS
     back = transport_bundle(moved, psi, psi, b.total)
-    assert bundles_equal(back, b)
     assert bundle_difference(back, b) is None
 
 
