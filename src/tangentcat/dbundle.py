@@ -29,6 +29,8 @@ from .polycore import (
     power_pair,
     power_proj,
     selection_indices,
+    _linear_part,
+    _rational_inverse,
 )
 from .report import Report
 from .tangent import Space, T_map, T_obj, add_plus, flip_c, lift_l, proj_p, zero_0
@@ -178,8 +180,9 @@ def check_universality(b: DiffBundle) -> Report:
     solves it, and reading its inputs off those coordinates of TE gives the
     candidate inverse nu, which is then checked on both sides.  mu need not
     be affine in the fibre variables: on the tangent space of a total space
-    it never is.  An inverse the solver cannot find is reported as
-    cannot-certify, never as refutation.
+    it never is.  A restricted mu whose linear part J(0) is singular is
+    refuted: a polynomial automorphism has J(0) invertible.  Any other
+    inverse the solver cannot find is reported as cannot-certify.
     """
     rep = Report(subject="lift universality (axiom 4)")
     e = b.total.dim
@@ -197,16 +200,22 @@ def check_universality(b: DiffBundle) -> Report:
         compose(proj_to_m, zero_0(b.base)),
     )
     out_positions = list(range(e)) + [e + i for i in b.fibre_coords]
-    solved = invert_polymap(PolyMap(sq_dim, tuple(mu.components[pos] for pos in out_positions)))
+    restricted = PolyMap(sq_dim, tuple(mu.components[pos] for pos in out_positions))
+    solved = invert_polymap(restricted)
     if solved is None:
+        linear = _linear_part(restricted)
+        if _rational_inverse(linear) is None:
+            rows = "; ".join(", ".join(map(str, row)) for row in linear)
+            witness = f"the linear part J(0) = [{rows}] of mu restricted to the fibre square is singular"
+            rep.check("shear inversion", "mu is solvable for the summands", False, witness)
+            return rep
         rep.cannot_certify(
             "shear inversion",
             "mu is solvable for the summands",
             "neither the jointly affine nor the substitution solver applies",
         )
         return rep
-    sel = [Polynomial.variable(2 * e, pos) for pos in out_positions]
-    nu = PolyMap(2 * e, tuple(c.substitute(sel) for c in solved.components))
+    nu = compose(PolyMap.selection(2 * e, out_positions), solved)
 
     zero_sub = _zero_tangent_base(b)
     ok1 = rep.check_equal("left inverse", "nu mu = 1", compose(mu, nu), PolyMap.identity(sq_dim))

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
+Term = tuple[Exponent, Fraction]
+_ONE = Fraction(1)
 
 
 class ShapeError(ValueError):
@@ -37,9 +40,35 @@ def _canonical_terms(
         if any(e < 0 for e in exps):
             raise ShapeError(f"negative exponent in {exps}")
         items.append((tuple(exps), Fraction(coeff)))
-    # Graded lexicographic: total degree first, then lexicographic on exponents.
-    items.sort(key=lambda t: (sum(t[0]), t[0]))
+    items.sort(key=_grlex)
     return tuple(items)
+
+
+def _grlex(term: Term) -> tuple[int, Exponent]:
+    """Graded lexicographic key: total degree first, then lexicographic on exponents."""
+    return sum(term[0]), term[0]
+
+
+def _sorted_terms(acc: Mapping[Exponent, Fraction]) -> tuple[Term, ...]:
+    """Canonical terms of an accumulator: zeros dropped, graded-lex order.
+
+    Nothing is validated: the arithmetic builds valid exponents and
+    ``Fraction`` coefficients by construction.  Validation happens once, at
+    the boundary, in ``from_terms`` (which ``serialize`` calls).
+    """
+    return tuple(sorted(((e, c) for e, c in acc.items() if c), key=_grlex))
+
+
+def _mul_terms(a: Iterable[Term], b: Sequence[Term]) -> dict[Exponent, Fraction]:
+    """Product of two term lists as an accumulator; zeros are not dropped."""
+    acc: dict[Exponent, Fraction] = {}
+    get = acc.get
+    for ea, ca in a:
+        for eb, cb in b:
+            k = tuple(map(add, ea, eb))
+            v = get(k)
+            acc[k] = ca * cb if v is None else v + ca * cb
+    return acc
 
 
 @dataclass(frozen=True)
@@ -47,7 +76,7 @@ class Polynomial:
     """An exact polynomial in ``arity`` variables, in canonical form."""
 
     arity: int
-    terms: tuple[tuple[Exponent, Fraction], ...]
+    terms: tuple[Term, ...]
 
     @staticmethod
     def from_terms(arity: int, terms: Mapping[Exponent, Fraction | int]) -> "Polynomial":
@@ -67,7 +96,7 @@ class Polynomial:
             raise ShapeError(f"variable index {index} out of range for arity {arity}")
         exps = [0] * arity
         exps[index] = 1
-        return Polynomial.from_terms(arity, {tuple(exps): 1})
+        return Polynomial(arity, ((tuple(exps), _ONE),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -79,9 +108,11 @@ class Polynomial:
         if self.arity != other.arity:
             raise ShapeError(f"arity mismatch: {self.arity} vs {other.arity}")
         acc: dict[Exponent, Fraction] = dict(self.terms)
+        get = acc.get
         for exps, coeff in other.terms:
-            acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.arity, _canonical_terms(self.arity, acc))
+            v = get(exps)
+            acc[exps] = coeff if v is None else v + coeff
+        return Polynomial(self.arity, _sorted_terms(acc))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.arity, tuple((e, -c) for e, c in self.terms))
@@ -92,12 +123,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.arity != other.arity:
             raise ShapeError(f"arity mismatch: {self.arity} vs {other.arity}")
-        acc: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                acc[exps] = acc.get(exps, Fraction(0)) + ca * cb
-        return Polynomial(self.arity, _canonical_terms(self.arity, acc))
+        return Polynomial(self.arity, _sorted_terms(_mul_terms(self.terms, other.terms)))
 
     def scale(self, value: Fraction | int) -> "Polynomial":
         v = Fraction(value)
@@ -105,26 +131,14 @@ class Polynomial:
             return Polynomial.zero(self.arity)
         return Polynomial(self.arity, tuple((e, c * v) for e, c in self.terms))
 
-    def pow(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ShapeError("negative power")
-        out = Polynomial.constant(self.arity, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def derivative(self, index: int) -> "Polynomial":
         """Exact partial derivative with respect to variable ``index``."""
         acc: dict[Exponent, Fraction] = {}
         for exps, coeff in self.terms:
             e = exps[index]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[index] = e - 1
-            key = tuple(new)
-            acc[key] = acc.get(key, Fraction(0)) + coeff * e
-        return Polynomial(self.arity, _canonical_terms(self.arity, acc))
+            if e:
+                acc[exps[:index] + (e - 1,) + exps[index + 1 :]] = coeff * e
+        return Polynomial(self.arity, _sorted_terms(acc))
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         if len(point) != self.arity:
@@ -139,21 +153,17 @@ class Polynomial:
         return total
 
     def substitute(self, args: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute ``args[i]`` for variable i; all args share one arity."""
+        """Substitute ``args[i]`` for variable i; all args share one arity.
+
+        Only the shapes are checked here; ``_substitute_all`` does the work.
+        """
         if len(args) != self.arity:
             raise ShapeError(f"need {self.arity} substitutions, got {len(args)}")
         new_arity = args[0].arity if args else 0
         for a in args:
             if a.arity != new_arity:
                 raise ShapeError("substitution arguments have mixed arities")
-        out = Polynomial.zero(new_arity)
-        for exps, coeff in self.terms:
-            term = Polynomial.constant(new_arity, coeff)
-            for arg, e in zip(args, exps):
-                if e:
-                    term = term * arg.pow(e)
-            out = out + term
-        return out
+        return _substitute_all((self,), args, new_arity)[0]
 
     def used_variables(self) -> set[int]:
         used: set[int] = set()
@@ -176,6 +186,49 @@ class Polynomial:
                     factors.append(f"x{i}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
+
+
+def _substitute_all(
+    polys: Sequence[Polynomial], args: Sequence[Polynomial], new_arity: int
+) -> tuple[Polynomial, ...]:
+    """Substitute ``args`` into each of ``polys``, whose arity is ``len(args)``.
+
+    Two paths, neither of which builds an intermediate ``Polynomial``: when
+    every argument is a bare variable (a coordinate selection or a padding)
+    the substitution is a reindexing of exponents; otherwise the powers of
+    each argument are computed once for all of ``polys`` and the products of
+    each polynomial's terms accumulate into one dict.  Nothing is validated:
+    the callers check shapes, and canonical inputs give canonical results.
+    """
+    out = []
+    idx = _variable_indices(args)
+    one = (((0,) * new_arity, _ONE),)
+    powers = [[one, a.terms] for a in args]  # powers[i][e] = args[i]^e
+    for p in polys:
+        acc: dict[Exponent, Fraction] = {}
+        get = acc.get
+        if idx is not None:
+            for exps, coeff in p.terms:
+                new = [0] * new_arity
+                for i, e in zip(idx, exps):
+                    new[i] += e
+                k = tuple(new)
+                v = get(k)
+                acc[k] = coeff if v is None else v + coeff
+        else:
+            for exps, coeff in p.terms:
+                term = None
+                for i, e in enumerate(exps):
+                    if e:
+                        pw = powers[i]
+                        while len(pw) <= e:
+                            pw.append(tuple(_mul_terms(pw[-1], pw[1]).items()))
+                        term = pw[e] if term is None else tuple(_mul_terms(term, pw[e]).items())
+                for k, c in one if term is None else term:
+                    v = get(k)
+                    acc[k] = coeff * c if v is None else v + coeff * c
+        out.append(Polynomial(new_arity, _sorted_terms(acc)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -231,13 +284,23 @@ def concat(maps: Sequence[PolyMap]) -> PolyMap:
 
 
 def compose(g: PolyMap, f: PolyMap) -> PolyMap:
-    """Diagrammatic composite: apply g first, then f."""
+    """Diagrammatic composite: apply g first, then f.
+
+    When f is a coordinate selection the composite is g's components picked
+    by index.  Otherwise all of f's components go through one
+    ``_substitute_all`` call, which reindexes exponents when g is a
+    selection and else shares the powers of g's components among them.
+    Only the shapes are checked: canonical inputs give a canonical result.
+    """
     if g.codomain_dim != f.domain_dim:
         raise ShapeError(
             f"cannot compose: first map lands in dim {g.codomain_dim}, "
             f"second expects dim {f.domain_dim}"
         )
-    return PolyMap(g.domain_dim, tuple(c.substitute(list(g.components)) for c in f.components))
+    idx = selection_indices(f)
+    if idx is not None:
+        return PolyMap(g.domain_dim, tuple(g.components[i] for i in idx))
+    return PolyMap(g.domain_dim, _substitute_all(f.components, g.components, g.domain_dim))
 
 
 def compose_all(*maps: PolyMap) -> PolyMap:
@@ -281,17 +344,22 @@ def first_difference(f: PolyMap, g: PolyMap) -> Optional[str]:
     return f"codomain dims differ: {f.codomain_dim} vs {g.codomain_dim}"
 
 
-def selection_indices(f: PolyMap) -> Optional[tuple[int, ...]]:
-    """If every component is a bare variable, return the selected indices."""
+def _variable_indices(polys: Sequence[Polynomial]) -> Optional[tuple[int, ...]]:
+    """If every polynomial is a bare variable, return the variables' indices."""
     out = []
-    for c in f.components:
+    for c in polys:
         if len(c.terms) != 1:
             return None
         exps, coeff = c.terms[0]
-        if coeff != 1 or sum(exps) != 1:
+        if sum(exps) != 1 or coeff != 1:
             return None
         out.append(exps.index(1))
     return tuple(out)
+
+
+def selection_indices(f: PolyMap) -> Optional[tuple[int, ...]]:
+    """If every component is a bare variable, return the selected indices."""
+    return _variable_indices(f.components)
 
 
 def pair_into(
@@ -384,6 +452,16 @@ def _rational_inverse(a: list[list[Fraction]]) -> Optional[list[list[Fraction]]]
     return [row[n:] for row in aug]
 
 
+def _linear_part(f: PolyMap) -> list[list[Fraction]]:
+    """J_f(0): the coefficients of the degree-one terms, one row per component."""
+    linear = [[Fraction(0)] * f.domain_dim for _ in f.components]
+    for row, comp in zip(linear, f.components):
+        for exps, c in comp.terms:
+            if sum(exps) == 1:
+                row[exps.index(1)] = c
+    return linear
+
+
 def _back_substitute(f: PolyMap) -> Optional[PolyMap]:
     """Solve f for its inputs, one exposed variable per component at a time.
 
@@ -417,7 +495,7 @@ def _back_substitute(f: PolyMap) -> Optional[PolyMap]:
                     break
             if bad or coeff == 0:
                 continue
-            rest_poly = Polynomial(n, _canonical_terms(n, rest))
+            rest_poly = Polynomial(n, _sorted_terms(rest))
             if not (rest_poly.used_variables() <= set(solved)):
                 continue
             args = [
@@ -452,11 +530,7 @@ def invert_polymap(f: PolyMap) -> Optional[PolyMap]:
     n = f.domain_dim
     if f.codomain_dim != n:
         return None
-    linear = [[Fraction(0)] * n for _ in range(n)]
-    for row, comp in zip(linear, f.components):
-        for exps, c in comp.terms:
-            if sum(exps) == 1:
-                row[exps.index(1)] = c
+    linear = _linear_part(f)
     if any(sum(1 for v in row if v) > 1 for row in linear):
         a_inv = _rational_inverse(linear)
         if a_inv is None:

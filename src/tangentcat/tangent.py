@@ -14,6 +14,7 @@ has layout (x, t_1, ..., t_k): ``polycore.power_proj`` with ``(2n, range(n))``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .polycore import (
@@ -22,11 +23,11 @@ from .polycore import (
     ShapeError,
     compose,
     compose_all,
-    jacobian,
     pair_into,
     power_dim,
     power_pair,
     power_proj,
+    _sorted_terms,
 )
 from .report import Report
 
@@ -80,19 +81,27 @@ def T_obj(s: Space) -> Space:
 
 
 def T_map(f: PolyMap) -> PolyMap:
-    """The differential: T(f)(x, t) = (f(x), J_f(x) t)."""
-    m, n = f.domain_dim, f.codomain_dim
-    dom = 2 * m
-    pad = [Polynomial.variable(dom, i) for i in range(m)]
-    base = [c.substitute(pad) for c in f.components]
-    jac = jacobian(f)
-    tangent = []
-    for row in jac:
-        acc = Polynomial.zero(dom)
-        for j, entry in enumerate(row):
-            acc = acc + entry.substitute(pad) * Polynomial.variable(dom, m + j)
-        tangent.append(acc)
-    return PolyMap(dom, tuple(base + tangent))
+    """The differential: T(f)(x, t) = (f(x), J_f(x) t), by exponent shifting.
+
+    f(x) is f with m zero exponents appended for t, which keeps its terms in
+    graded-lex order.  The tangent component sum_j d_j f_i(x) t_j takes each
+    term c x^e of f_i to the terms (c e_j) x^(e - 1_j) t_j; distinct
+    (term, j) pairs give distinct monomials, so these only need sorting.
+    Nothing is substituted or validated: f is canonical, so the result is.
+    """
+    m = f.domain_dim
+    pad = (0,) * m
+    t = [pad[:j] + (1,) + pad[j + 1 :] for j in range(m)]
+    base, tangent = [], []
+    for comp in f.components:
+        base.append(Polynomial(2 * m, tuple((e + pad, c) for e, c in comp.terms)))
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for e, c in comp.terms:
+            for j, ej in enumerate(e):
+                if ej:
+                    acc[e[:j] + (ej - 1,) + e[j + 1 :] + t[j]] = c * ej
+        tangent.append(Polynomial(2 * m, _sorted_terms(acc)))
+    return PolyMap(2 * m, tuple(base + tangent))
 
 
 def proj_p(s: Space) -> PolyMap:

@@ -50,10 +50,12 @@ def test_verify_bundle_passes(tmp_path, capsys):
 
 # Mutants of the trivial bundle over R on (x, w): lambda = (x, 0, 0, w) lists
 # the (x, w, dx, dw) slots and sigma = (x, w1 + w2) is defined on (x, w1, w2).
-# In all but the first, some pairing of the axioms cannot be formed.
+# In the first, mu's linear part is singular, so mu has no polynomial
+# inverse; in all but the first two, some pairing of the axioms cannot be formed.
 @pytest.mark.parametrize(
     "field, slot, value, record",
     [
+        ("lambda", 3, lambda v: v[0] - v[0], "axiom 4: shear inversion"),
         ("lambda", 3, lambda v: v[0] * v[1], "axiom 5"),
         ("lambda", 0, lambda v: v[0] + v[1], "axiom 4: comparison map"),
         ("lambda", 2, lambda v: v[1], "axiom 4: comparison map"),
@@ -62,7 +64,8 @@ def test_verify_bundle_passes(tmp_path, capsys):
         ("sigma", 0, lambda v: v[0] + v[1], "associativity"),
         ("sigma", 0, lambda v: v[0] + v[2], "associativity"),
     ],
-    ids=["dw-slot-xw", "x-slot+w", "dx-slot+w", "w-slot+w", "x-slot+x", "sigma-x+w1", "sigma-x+w2"],
+    ids=["dw-slot-zero", "dw-slot-xw", "x-slot+w", "dx-slot+w", "w-slot+w", "x-slot+x",
+         "sigma-x+w1", "sigma-x+w2"],
 )
 def test_verify_corrupted_lift_exits_2(tmp_path, capsys, field, slot, value, record):
     from tangentcat.dbundle import trivial_bundle
@@ -162,10 +165,14 @@ _ZERO_1 = serialize.poly_to_json(Polynomial.zero(1))
         ("connection", ["bundle", "base", "layout"], [["x", True]], "connection.bundle.base"),
         ("connection", ["bundle", "base", "layout"], [["x", "1"]], "connection.bundle.base"),
         ("connection", ["bundle", "base", "layout"], [[1, 1]], "connection.bundle.base"),
+        ("connection", ["K", "components", 0, "terms", 0, "exps"], [1, 0, 0],
+         "connection.K.components[0].terms[0]"),
+        ("connection", ["K", "components", 0, "terms", 0, "exps"], [-1, 0, 0, 1],
+         "connection.K.components[0].terms[0]"),
     ],
     ids=["coeff-exponent", "coeff-space", "arity-bool", "terms-int", "component-arity", "exps-bool", "dom-bool",
          "cod-bool", "dim-bool", "base-coords-bool", "gamma-int-row", "gamma-int", "gamma-ragged",
-         "layout-float", "layout-bool", "layout-string-size", "layout-int-name"],
+         "layout-float", "layout-bool", "layout-string-size", "layout-int-name", "exps-short", "exps-negative"],
 )
 def test_malformed_fields_exit_1_with_location(tmp_path, capsys, kind, field, value, where):
     if kind == "connection":

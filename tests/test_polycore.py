@@ -98,6 +98,18 @@ def test_compose_associative(f, g, h):
     assert compose_all(f, g, h) == compose(f, compose(g, h))
 
 
+@pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (-1, 1), (2, -1)])
+def test_from_terms_rejects_malformed_exponents(exps):
+    with pytest.raises(ShapeError):
+        Polynomial.from_terms(2, {exps: 1})
+
+
+def test_from_terms_canonicalises():
+    p = Polynomial.from_terms(2, {(0, 1): 3, (2, 0): Fraction(1, 2), (1, 0): 0, (0, 0): -1})
+    assert p.terms == (((0, 0), Fraction(-1)), ((0, 1), Fraction(3)), ((2, 0), Fraction(1, 2)))
+    assert all(type(c) is Fraction for _, c in p.terms)
+
+
 def test_compose_shape_error():
     with pytest.raises(ShapeError):
         compose(PolyMap.identity(2), PolyMap.identity(3))
