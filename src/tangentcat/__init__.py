@@ -28,7 +28,6 @@ from .whitney import (
     Recognition,
     biproduct,
     biproduct_laws,
-    check_T_additive,
     hom_add,
     hom_zero,
     partial_add,

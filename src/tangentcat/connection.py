@@ -13,8 +13,8 @@ K for which the three-way pairing (tangent projection, tangent of the bundle
 projection, K) is invertible: inverting that pairing exhibits TE as a Whitney
 sum of the bundle, the tangent bundle of the base, and the bundle again, and
 H is recovered as the injection of the first two summands.  All verdicts are
-exact; an inversion the engine cannot perform is reported as cannot-certify
-rather than refuted.
+exact: a pairing with no inverse fails with an exact refutation witness, and
+is cannot-certify only when the inverter's degree budget runs out.
 
 Coordinate conventions: the bundle must have its base coordinates leading, so
 E = (x, w), TE = (x, w, u, v) with u the tangent of x and v the tangent of w,
@@ -38,7 +38,7 @@ from .polycore import (
     eval_map,
     power_pair,
 )
-from .report import Report, Status
+from .report import CheckRecord, Report, Status
 from .dbundle import (
     DiffBundle,
     bundle_difference,
@@ -224,7 +224,9 @@ class _Effectiveness:
 
     report: Report
     decomposition: Optional[Decomposition] = None
-    inverted: bool = False  # the pairing inverted, so the sum was examined
+    # the pairing-inversion record when the gate passed but theta did not
+    # invert: a refutation, or cannot-certify on the inverter's budget
+    pairing: Optional[CheckRecord] = None
     # the injections against the structural maps, once the sum is recognized
     injections: Report = field(default_factory=lambda: Report(subject="injections"))
 
@@ -243,20 +245,21 @@ def _effectiveness(c: Connection, vertical: Optional[Report]) -> _Effectiveness:
         c.K,
     )
     # The comparison map of this sum is the pairing theta.  The vertical gate
-    # makes the three projections agree on the base, so the recognition stops
-    # before the inversion of theta only where theta has no inverse.
+    # makes the three projections agree on the base, so a recognition with no
+    # inverse stopped at its last record, the inversion of theta.
     recog = recognize_biproduct(T_obj(b.total), projections, summands)
     if recog.inverse is None:
-        rep.cannot_certify(
-            "pairing inversion",
-            "the three-way pairing has a two-sided polynomial inverse",
-            "no inverse found by back-substitution",
+        pairing = replace(
+            recog.report.records[-1],
+            name="pairing inversion",
+            law="the three-way pairing has a two-sided polynomial inverse",
         )
-        return _Effectiveness(rep)
+        rep.add(pairing)
+        return _Effectiveness(rep, pairing=pairing)
     rep.check("pairing inversion", "two-sided polynomial inverse found", True, None)
     rep.extend(recog.report, prefix="Whitney sum: ")
     if recog.biproduct is None:
-        return _Effectiveness(rep, inverted=True)
+        return _Effectiveness(rep)
     injections = Report(subject="injections")
     expected = (zero_0(b.total), T_map(b.zeta), b.lift)
     for name, got, want in zip(
@@ -288,7 +291,7 @@ def _effectiveness(c: Connection, vertical: Optional[Report]) -> _Effectiveness:
     decomp = None
     if rep.passed:
         decomp = Decomposition(biproduct=recog.biproduct, total=recog.biproduct.sum)
-    return _Effectiveness(rep, decomp, True, injections)
+    return _Effectiveness(rep, decomp, injections=injections)
 
 
 def check_effective(
@@ -400,62 +403,41 @@ def equivalence_suite(c: Connection) -> Report:
     vert = check_vertical(c)
     eff = _effectiveness(c, vert)
     eff_rep, decomp = eff.report, eff.decomposition
-
-    # Leg 1: some H makes (K, H) a full connection pair.
-    if decomp is not None:
-        candidate = c if c.H is not None else replace(c, H=decomp.horizontal())
-        hor = check_horizontal(candidate)
-        pair = check_pair(candidate)
-        rep.check(
-            "pair presentation",
-            "a compatible horizontal map exists",
-            hor.passed and pair.passed,
-            "; ".join(r.name for r in (*hor.failing(), *pair.failing())) or None,
-        )
-    elif eff_rep.verdict is Status.CANNOT_CERTIFY and vert.passed:
-        rep.cannot_certify(
-            "pair presentation",
-            "a compatible horizontal map exists",
-            "no decomposition available to construct H",
-        )
+    legs = (
+        ("pair presentation", "a compatible horizontal map exists"),
+        ("effective presentation", "vertical identities hold and the pairing inverts"),
+        ("sum presentation", "TE is the stated Whitney sum with structural injections and partials"),
+        ("product presentation", "K retracts the lift and the pairing exhibits the stated product"),
+    )
+    if eff.pairing is not None:
+        # Every leg needs the inverse of theta: each carries its refutation,
+        # or the exhausted budget.
+        for name, law in legs:
+            rep.add(replace(eff.pairing, name=name, law=law))
     else:
-        rep.check(
-            "pair presentation",
-            "a compatible horizontal map exists",
-            False,
-            "; ".join(r.name for r in vert.failing()) or "no decomposition",
-        )
-
-    # Leg 2: K is an effective vertical map.
-    if eff_rep.verdict is Status.CANNOT_CERTIFY:
-        rep.cannot_certify("effective presentation", "vertical and pairing invertible", "inversion unresolved")
-    else:
-        rep.summary("effective presentation", "vertical identities hold and the pairing inverts", eff_rep)
-
-    # Legs 3 and 4 share the structural comparisons made once the pairing
-    # inverts; the gate has passed by then, so K retracts the lift.
-    if not eff.inverted and vert.passed:
-        rep.cannot_certify("sum presentation", "TE is the stated Whitney sum", "pairing inversion unresolved")
-        rep.cannot_certify("product presentation", "retraction plus the stated product", "pairing inversion unresolved")
-    elif not eff.inverted:
-        why = "; ".join(r.name for r in vert.failing())
-        rep.check("sum presentation", "TE is the stated Whitney sum", False, why)
-        rep.check("product presentation", "retraction plus the stated product", False, why)
-    else:
-        failures = [r for r in eff_rep.records if r.status is Status.FAIL]
-        product = [r for r in failures if r not in eff.injections.records]
-        rep.check(
-            "sum presentation",
-            "TE is the stated Whitney sum with structural injections and partials",
-            eff_rep.passed,
-            "; ".join(r.name for r in failures) or None,
-        )
-        rep.check(
-            "product presentation",
-            "K retracts the lift and the pairing exhibits the stated product",
-            not product,
-            "; ".join(r.name for r in product) or None,
-        )
+        # Leg 1: some H makes (K, H) a full connection pair, with H read off
+        # the decomposition when none is supplied.
+        if decomp is not None:
+            candidate = c if c.H is not None else replace(c, H=decomp.horizontal())
+            hor = check_horizontal(candidate)
+            pair = check_pair(candidate)
+            rep.check(*legs[0], hor.passed and pair.passed,
+                      "; ".join(r.name for r in (*hor.failing(), *pair.failing())) or None)
+        else:
+            rep.check(*legs[0], False, "; ".join(r.name for r in vert.failing()) or "no decomposition")
+        # Leg 2: K is an effective vertical map.
+        rep.summary(*legs[1], eff_rep)
+        # Legs 3 and 4 share the structural comparisons made once the
+        # pairing inverts, which it does only past the gate.
+        if not vert.passed:
+            why = "; ".join(r.name for r in vert.failing())
+            rep.check("sum presentation", "TE is the stated Whitney sum", False, why)
+            rep.check("product presentation", "retraction plus the stated product", False, why)
+        else:
+            failures = [r for r in eff_rep.records if r.status is Status.FAIL]
+            product = [r for r in failures if r not in eff.injections.records]
+            rep.check(*legs[2], eff_rep.passed, "; ".join(r.name for r in failures) or None)
+            rep.check(*legs[3], not product, "; ".join(r.name for r in product) or None)
 
     if bundle_difference(b, tangent_bundle(b.base)) is None and decomp is not None:
         rep.check_equal(

@@ -29,8 +29,6 @@ from .polycore import (
     power_pair,
     power_proj,
     selection_indices,
-    _linear_part,
-    _rational_inverse,
 )
 from .report import Report
 from .tangent import Space, T_map, T_obj, add_plus, flip_c, lift_l, proj_p, zero_0
@@ -180,9 +178,9 @@ def check_universality(b: DiffBundle) -> Report:
     solves it, and reading its inputs off those coordinates of TE gives the
     candidate inverse nu, which is then checked on both sides.  mu need not
     be affine in the fibre variables: on the tangent space of a total space
-    it never is.  A restricted mu whose linear part J(0) is singular is
-    refuted: a polynomial automorphism has J(0) invertible.  Any other
-    inverse the solver cannot find is reported as cannot-certify.
+    it never is.  A restricted mu with no inverse fails with polycore's
+    refutation witness, and is cannot-certify only when the inverter's
+    degree budget runs out.
     """
     rep = Report(subject="lift universality (axiom 4)")
     e = b.total.dim
@@ -203,17 +201,7 @@ def check_universality(b: DiffBundle) -> Report:
     restricted = PolyMap(sq_dim, tuple(mu.components[pos] for pos in out_positions))
     solved = invert_polymap(restricted)
     if solved is None:
-        linear = _linear_part(restricted)
-        if _rational_inverse(linear) is None:
-            rows = "; ".join(", ".join(map(str, row)) for row in linear)
-            witness = f"the linear part J(0) = [{rows}] of mu restricted to the fibre square is singular"
-            rep.check("shear inversion", "mu is solvable for the summands", False, witness)
-            return rep
-        rep.cannot_certify(
-            "shear inversion",
-            "mu is solvable for the summands",
-            "neither the jointly affine nor the substitution solver applies",
-        )
+        rep.no_inverse("shear inversion", "mu is solvable for the summands", restricted)
         return rep
     nu = compose(PolyMap.selection(2 * e, out_positions), solved)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -57,6 +58,17 @@ def _sorted_terms(acc: Mapping[Exponent, Fraction]) -> tuple[Term, ...]:
     the boundary, in ``from_terms`` (which ``serialize`` calls).
     """
     return tuple(sorted(((e, c) for e, c in acc.items() if c), key=_grlex))
+
+
+def _value(terms: Iterable[Term], point: Sequence[Fraction]) -> Fraction:
+    """The value of a sum of terms at a point of matching length."""
+    total = Fraction(0)
+    for exps, coeff in terms:
+        for v, e in zip(point, exps):
+            if e:
+                coeff *= v**e
+        total += coeff
+    return total
 
 
 def _mul_terms(a: Iterable[Term], b: Sequence[Term]) -> dict[Exponent, Fraction]:
@@ -143,14 +155,7 @@ class Polynomial:
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         if len(point) != self.arity:
             raise ShapeError(f"point length {len(point)} != arity {self.arity}")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms:
-            val = coeff
-            for v, e in zip(pt, exps):
-                val *= v**e
-            total += val
-        return total
+        return _value(self.terms, [Fraction(v) for v in point])
 
     def substitute(self, args: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute ``args[i]`` for variable i; all args share one arity.
@@ -434,118 +439,166 @@ def power_pair(total_dim: int, base_coords: Sequence[int], maps: Sequence[PolyMa
     return pair_into(power_dim(total_dim, base_coords, k), projs, maps)
 
 
-def _rational_inverse(a: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
-    """Inverse of a square rational matrix by Gauss-Jordan; None when singular."""
-    n = len(a)
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_c = 1 / aug[col][col]
-        aug[col] = [v * inv_c for v in aug[col]]
-        for r in range(n):
-            factor = aug[r][col]
-            if r != col and factor != 0:
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+# The inverter's degree budget.  Its expansion of the inverse stops at this
+# degree, so an inverse beyond it is never found, and a refutation by the
+# Bass-Connell-Wright bound needs that bound to lie within it.
+DEGREE_BUDGET = 64
+BUDGET_WITNESS = (
+    f"no inverse of degree at most {DEGREE_BUDGET}, the inverter's degree budget, "
+    "which is below the Bass-Connell-Wright bound (deg f)^(n-1)"
+)
 
 
-def _linear_part(f: PolyMap) -> list[list[Fraction]]:
-    """J_f(0): the coefficients of the degree-one terms, one row per component."""
-    linear = [[Fraction(0)] * f.domain_dim for _ in f.components]
-    for row, comp in zip(linear, f.components):
-        for exps, c in comp.terms:
-            if sum(exps) == 1:
-                row[exps.index(1)] = c
-    return linear
+def _gauss_jordan(rows: list[dict[int, Fraction]]) -> tuple[Fraction, Optional[list[dict[int, Fraction]]]]:
+    """Determinant and inverse of a square matrix of sparse rows; no inverse when singular.
 
-
-def _back_substitute(f: PolyMap) -> Optional[PolyMap]:
-    """Solve f for its inputs, one exposed variable per component at a time.
-
-    A component qualifies when exactly one unsolved variable occurs in it,
-    only as a bare linear term with a constant coefficient, and everything
-    else in it is already solved.  The result is not checked here.
+    Rows hold no zero entries, so a permutation of scaled coordinates costs
+    one pass over its columns.
     """
-    n = f.domain_dim
-    solved: dict[int, Polynomial] = {}
-    remaining = set(range(n))
-    unused = set(range(n))
-    progress = True
-    while remaining and progress:
-        progress = False
-        for k in sorted(unused):
-            comp = f.components[k]
-            candidates = comp.used_variables() & remaining
-            if len(candidates) != 1:
-                continue
-            j = next(iter(candidates))
-            coeff = Fraction(0)
-            rest: dict[Exponent, Fraction] = {}
-            bad = False
-            for exps, c in comp.terms:
-                if exps[j] == 0:
-                    rest[exps] = c
-                elif exps[j] == 1 and sum(exps) == 1:
-                    coeff = c
-                else:
-                    bad = True
-                    break
-            if bad or coeff == 0:
-                continue
-            rest_poly = Polynomial(n, _sorted_terms(rest))
-            if not (rest_poly.used_variables() <= set(solved)):
-                continue
-            args = [
-                solved.get(i, Polynomial.variable(n, i)) for i in range(n)
-            ]  # unsolved vars never occur in rest_poly
-            expr = (Polynomial.variable(n, k) - rest_poly.substitute(args)).scale(
-                Fraction(1, 1) / coeff
-            )
-            solved[j] = expr
-            remaining.discard(j)
-            unused.discard(k)
-            progress = True
-    if remaining:
-        return None
-    return PolyMap(n, tuple(solved[i] for i in range(n)))
+    n = len(rows)
+    aug = [{**row, n + i: _ONE} for i, row in enumerate(rows)]
+    det = _ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if col in aug[r]), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        p = aug[col][col]
+        det *= p
+        prow = aug[col] = {k: v / p for k, v in aug[col].items()}
+        for r, row in enumerate(aug):
+            factor = None if r == col else row.get(col)
+            if factor:
+                for k, v in prow.items():
+                    new = row.get(k, 0) - factor * v
+                    if new:
+                        row[k] = new
+                    else:
+                        del row[k]
+    return det, [{k - n: v for k, v in row.items() if k >= n} for row in aug]
 
 
-def invert_polymap(f: PolyMap) -> Optional[PolyMap]:
-    """Attempt a two-sided polynomial inverse; the engine's only inverter.
+def _det_witness(f: PolyMap) -> Optional[str]:
+    """det J_f vanishing at, or differing between, fixed rational points.
 
-    When some component of f has more than one bare linear term, the linear
-    part A = J_f(0) is inverted over the rationals first and f is normalised
-    to g = A^-1 f.  A singular A gives None: a polynomial automorphism has
-    J_f(0) invertible.  Back-substitution then handles coordinate
-    permutations and shear-like maps where each component exposes one
-    as-yet-unsolved variable with a constant coefficient (for example
-    ``(x, t, u, v + h(x, t, u))``), and f^-1 = g^-1 A^-1.  The result is
-    returned only after checking both composites against the identity.
-    Returns None when no inverse of that shape exists; this is
-    conservative, not a refutation.
+    An inverse g gives J_g(f(x)) J_f(x) = I, so the Jacobian determinant of
+    a polynomial automorphism is a nonzero constant.
+    """
+    n, jac, first = f.domain_dim, jacobian(f), None
+    for point in ((0,) * n, range(1, n + 1), [Fraction(-1, i + 2) for i in range(n)]):
+        point = [Fraction(v) for v in point]
+        det = _gauss_jordan([{j: v for j, e in enumerate(r) if (v := e.evaluate(point))} for r in jac])[0]
+        where = "(" + ", ".join(map(str, point)) + ")"
+        if not det:
+            return f"det J vanishes at {where}"
+        if first is None:
+            first = det, where
+        elif det != first[0]:
+            return f"det J is {first[0]} at {first[1]} but {det} at {where}"
+    return None
+
+
+def _decide(f: PolyMap) -> tuple[Optional[PolyMap], Optional[str]]:
+    """The checked inverse of f, or None with a refutation (None on the budget).
+
+    With A = J_f(0) and c = f(0), g = A^-1 (f - c) = y + h(y), h of order
+    at least 2, and f^-1 = G after x -> A^-1 (x - c), where G is the fixed
+    point of G <- x - h(G).  G is expanded one homogeneous degree at a time:
+    G_k = -[h(G)]_k needs G only below degree k.  From degree deg f on, each
+    truncation is tried at one rational point, and one that passes there is
+    checked by both composites.  The expansion stops at the
+    Bass-Connell-Wright bound (deg f)^(n-1) on the degree of an inverse, or
+    at ``DEGREE_BUDGET`` when that is smaller; only at the bound does it
+    refute f.  det J_f is sampled once, if G has not closed by degree deg f.
     """
     n = f.domain_dim
     if f.codomain_dim != n:
-        return None
-    linear = _linear_part(f)
-    if any(sum(1 for v in row if v) > 1 for row in linear):
-        a_inv = _rational_inverse(linear)
-        if a_inv is None:
-            return None
-        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        normalise = PolyMap(
-            n, tuple(Polynomial.from_terms(n, dict(zip(units, row))) for row in a_inv)
-        )
-        g_inv = _back_substitute(compose(f, normalise))
-        inv = None if g_inv is None else compose(normalise, g_inv)
-    else:
-        inv = _back_substitute(f)
-    if inv is None:
-        return None
+        return None, f"it maps dimension {n} to dimension {f.codomain_dim}"
+    # J_f(0) and f(0) from the terms of degree at most one, which lead
+    low = [list(takewhile(lambda t: sum(t[0]) < 2, c.terms)) for c in f.components]
+    linear = [{e.index(1): c for e, c in terms if any(e)} for terms in low]
+    consts = [sum((c for e, c in terms if not any(e)), Fraction(0)) for terms in low]
+    a_inv = _gauss_jordan(linear)[1]
+    if a_inv is None:
+        rows = "; ".join(", ".join(str(row.get(j, 0)) for j in range(n)) for row in linear)
+        return None, f"the linear part J(0) = [{rows}] is singular"
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    shift = PolyMap(n, tuple(  # x -> A^-1 (x - c)
+        Polynomial(n, _sorted_terms({(0,) * n: -sum(a * consts[j] for j, a in row.items()),
+                                     **{units[j]: a for j, a in row.items()}}))
+        for row in a_inv
+    ))
+    h = [Polynomial(n, tuple(t for t in c.terms if sum(t[0]) > 1)) for c in compose(f, shift).components]
+    # parts[m][k] is the degree-k part of G^m, for m a variable, a monomial
+    # of h or a prefix of one, built as G^(m - e_i) G_i.
+    parts: dict[Exponent, list[dict[Exponent, Fraction]]] = {u: [{}, {u: _ONE}] for u in units}
+    recipe = []
+    for m in (m for c in h for m, _ in c.terms):
+        while m not in parts:
+            i = next(i for i, e in enumerate(m) if e)
+            parent = m[:i] + (m[i] - 1,) + m[i + 1 :]
+            parts[m] = [{}, {}]
+            recipe.append((sum(m), m, parent, i))
+            m = parent
+    recipe.sort()
+    deg = f.max_degree()
+    bound = deg ** (n - 1) if n > 1 else 1
+    cap = min(bound, DEGREE_BUDGET)
+    point = [Fraction(i + 2, 2 * i + 3) for i in range(n)]  # (2/3, 3/5, 4/7, ...)
+    at = list(point)  # G at the point, truncated at degree k
     ident = PolyMap.identity(n)
-    if map_equal(compose(f, inv), ident) and map_equal(compose(inv, f), ident):
-        return inv
-    return None
+    for k in range(1, cap + 1):
+        for _, m, parent, i in recipe if k > 1 else ():
+            part: dict[Exponent, Fraction] = {}
+            for j in range(sum(parent), k):
+                for e, c in _mul_terms(parts[parent][j].items(), tuple(parts[units[i]][k - j].items())).items():
+                    part[e] = part.get(e, 0) + c
+            parts[m].append(part)
+        for i, comp in enumerate(h if k > 1 else ()):
+            acc = {}
+            for m, c in comp.terms:
+                for e, v in parts[m][k].items() if sum(m) <= k else ():
+                    acc[e] = acc.get(e, 0) - c * v
+            parts[units[i]].append(acc)
+            at[i] += _value(acc.items(), point)
+        if k < min(deg, cap):
+            continue  # an inverse of lower degree is still found at degree deg f
+        if all(a + _value(c.terms, at) == p for a, c, p in zip(at, h, point)):
+            inv = compose(shift, PolyMap(n, tuple(
+                Polynomial(n, _sorted_terms({e: c for part in parts[u] for e, c in part.items()})) for u in units
+            )))
+            if map_equal(compose(f, inv), ident) and map_equal(compose(inv, f), ident):
+                return inv, None
+        if k == min(deg, cap) and (witness := _det_witness(f)):
+            return None, witness
+    if cap < bound:
+        return None, None
+    return None, (
+        f"it has no inverse of degree at most {bound} = (deg f)^(n-1), "
+        "the Bass-Connell-Wright bound on the degree of an inverse"
+    )
+
+
+def invert_polymap(f: PolyMap) -> Optional[PolyMap]:
+    """The two-sided polynomial inverse of f, or None; the engine's only inverter.
+
+    One algorithm for every map (see ``_decide``).  None means f is refuted
+    or its inverse lies beyond ``DEGREE_BUDGET``; ``refute_invertible``
+    tells which.
+    """
+    return _decide(f)[0]
+
+
+def refute_invertible(f: PolyMap) -> Optional[str]:
+    """An exact witness that f has no polynomial inverse, or None.
+
+    The witness is one of: J_f(0) is singular; det J_f vanishes, or differs,
+    at fixed rational points; the formal inverse is not a polynomial of
+    degree at most the Bass-Connell-Wright bound (deg f)^(n-1).  None from
+    both this and ``invert_polymap`` means the degree budget ran out:
+    cannot-certify, with ``BUDGET_WITNESS``.  It reruns the decision of
+    ``invert_polymap``, so callers ask only after that returned None.
+    """
+    return _decide(f)[1]

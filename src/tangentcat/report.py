@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .polycore import PolyMap, ShapeError, first_difference, map_equal
+from .polycore import BUDGET_WITNESS, PolyMap, ShapeError, first_difference, map_equal, refute_invertible
 
 
 class Status(str, Enum):
@@ -60,6 +60,12 @@ class Report:
     def summary(self, name: str, law: str, sub: "Report") -> bool:
         """Record a sub-report as one check, witnessed by its failing names."""
         return self.check(name, law, sub.passed, "; ".join(r.name for r in sub.failing()) or None)
+
+    def no_inverse(self, name: str, law: str, f: PolyMap) -> None:
+        """Record that ``invert_polymap`` found no inverse of f: a failure with
+        polycore's refutation, or cannot-certify when only its budget ran out."""
+        witness = refute_invertible(f)
+        self.add(CheckRecord(name, law, Status.FAIL if witness else Status.CANNOT_CERTIFY, witness or BUDGET_WITNESS))
 
     def cannot_certify(self, name: str, law: str, witness: Optional[str] = None) -> None:
         self.add(CheckRecord(name, law, Status.CANNOT_CERTIFY, witness))

@@ -17,8 +17,7 @@ from typing import Any
 from .polycore import PolyMap, Polynomial, ShapeError
 from .tangent import Space
 from .dbundle import DiffBundle
-from .whitney import BiproductBundle
-from .connection import Connection, Decomposition
+from .connection import Connection
 
 
 class SerializationError(ValueError):
@@ -204,24 +203,6 @@ def connection_from_json(obj: Any, where: str = "connection") -> Connection:
         return Connection(bundle=bundle, K=k, H=h, gamma=gamma)
     except ValueError as exc:
         raise SerializationError(f"{where}: {exc}") from exc
-
-
-def biproduct_to_json(bp: BiproductBundle) -> dict:
-    return {
-        "sum": bundle_to_json(bp.sum),
-        "summands": [bundle_to_json(s) for s in bp.summands],
-        "projections": [map_to_json(p) for p in bp.projections],
-        "injections": [map_to_json(i) for i in bp.injections],
-    }
-
-
-def decomposition_to_json(d: Decomposition) -> dict:
-    return {
-        "theta": map_to_json(d.theta),
-        "theta_inv": map_to_json(d.theta_inv),
-        "biproduct": biproduct_to_json(d.biproduct),
-        "total": bundle_to_json(d.biproduct.sum),
-    }
 
 
 def dumps(obj: Any) -> str:

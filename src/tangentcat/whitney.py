@@ -30,11 +30,7 @@ from .polycore import (
 )
 from .report import Report
 from .tangent import Space, T_map
-from .dbundle import (
-    DiffBundle,
-    tangent_of_bundle,
-    transport_bundle,
-)
+from .dbundle import DiffBundle, transport_bundle
 
 
 def _fibre_part(b: DiffBundle, m: PolyMap) -> PolyMap:
@@ -261,8 +257,10 @@ def recognize_biproduct(
 
     Assembles the comparison map onto the canonical concatenated model and
     looks for a two-sided polynomial inverse.  On success the canonical
-    structure is transported back across the comparison isomorphism; an
-    unsolved inversion yields cannot-certify, never refutation.
+    structure is transported back across the comparison isomorphism.  A
+    comparison map with no inverse fails with polycore's refutation
+    witness, and is cannot-certify only when the inverter's degree budget
+    runs out.
     """
     rep = Report(subject="biproduct recognition")
     summands = tuple(summands)
@@ -297,11 +295,7 @@ def recognize_biproduct(
     psi = PolyMap(total.dim, tuple(comps))
     psi_inv = invert_polymap(psi)
     if psi_inv is None:
-        rep.cannot_certify(
-            "comparison inversion",
-            "comparison map onto the concatenated model is invertible",
-            "no polynomial inverse found",
-        )
+        rep.no_inverse("comparison inversion", "comparison map onto the concatenated model is invertible", psi)
         return Recognition(rep, None)
     rep.check("comparison isomorphism", "two-sided polynomial inverse found", True, None)
     rep.check_equal(
@@ -353,21 +347,3 @@ def partial_add(f: PolyMap, g: PolyMap, bp: BiproductBundle, j: int) -> PolyMap:
     b = pb.bundle
     return compose(power_pair(b.total.dim, b.base_coords, [f, g]), b.sigma)
 
-
-def check_T_additive(f: PolyMap, g: PolyMap, src: DiffBundle, dst: DiffBundle) -> Report:
-    """Check that applying T commutes with morphism addition and zero."""
-    rep = Report(subject="tangent functor additivity")
-    tsrc, tdst = tangent_of_bundle(src), tangent_of_bundle(dst)
-    rep.check_equal(
-        "addition",
-        "T of a sum is the sum of the T-images",
-        T_map(hom_add(f, g, src, dst)),
-        hom_add(T_map(f), T_map(g), tsrc, tdst),
-    )
-    rep.check_equal(
-        "zero",
-        "T of the zero morphism is the zero morphism",
-        T_map(hom_zero(src, dst)),
-        hom_zero(tsrc, tdst),
-    )
-    return rep

@@ -50,12 +50,14 @@ def test_verify_bundle_passes(tmp_path, capsys):
 
 # Mutants of the trivial bundle over R on (x, w): lambda = (x, 0, 0, w) lists
 # the (x, w, dx, dw) slots and sigma = (x, w1 + w2) is defined on (x, w1, w2).
-# In the first, mu's linear part is singular, so mu has no polynomial
-# inverse; in all but the first two, some pairing of the axioms cannot be formed.
+# In the first two, mu has no polynomial inverse: its linear part is singular,
+# or its Jacobian determinant is not constant.  In all but the first three,
+# some pairing of the axioms cannot be formed.
 @pytest.mark.parametrize(
     "field, slot, value, record",
     [
         ("lambda", 3, lambda v: v[0] - v[0], "axiom 4: shear inversion"),
+        ("lambda", 3, lambda v: v[1] + (v[1] * v[1]).scale(3), "axiom 4: shear inversion"),
         ("lambda", 3, lambda v: v[0] * v[1], "axiom 5"),
         ("lambda", 0, lambda v: v[0] + v[1], "axiom 4: comparison map"),
         ("lambda", 2, lambda v: v[1], "axiom 4: comparison map"),
@@ -64,7 +66,7 @@ def test_verify_bundle_passes(tmp_path, capsys):
         ("sigma", 0, lambda v: v[0] + v[1], "associativity"),
         ("sigma", 0, lambda v: v[0] + v[2], "associativity"),
     ],
-    ids=["dw-slot-zero", "dw-slot-xw", "x-slot+w", "dx-slot+w", "w-slot+w", "x-slot+x",
+    ids=["dw-slot-zero", "dw-slot-w+3w^2", "dw-slot-xw", "x-slot+w", "dx-slot+w", "w-slot+w", "x-slot+x",
          "sigma-x+w1", "sigma-x+w2"],
 )
 def test_verify_corrupted_lift_exits_2(tmp_path, capsys, field, slot, value, record):

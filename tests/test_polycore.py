@@ -19,6 +19,7 @@ from tangentcat.polycore import (
     jacobian,
     map_equal,
     pair_into,
+    refute_invertible,
     selection_indices,
 )
 
@@ -179,7 +180,17 @@ def test_invert_base_dependent_shear():
 
 def test_invert_refuses_non_constant_pivot():
     x, a = v(2, 0), v(2, 1)
-    assert invert_polymap(PolyMap.from_components(2, [x, a * (Polynomial.constant(2, 1) + x)])) is None
+    f = PolyMap.from_components(2, [x, a * (Polynomial.constant(2, 1) + x)])
+    assert invert_polymap(f) is None
+    assert refute_invertible(f) == "det J is 1 at (0, 0) but 2 at (1, 2)"
+
+
+def test_invert_outer_shear():
+    # S(y) = (y0 - s, y1 + s) with s = (y0 + y1)^2, which y0 + y1 leaves fixed.
+    y0, y1 = v(2, 0), v(2, 1)
+    s = (y0 + y1) * (y0 + y1)
+    inv = invert_polymap(PolyMap.from_components(2, [y0 - s, y1 + s]))
+    assert inv == PolyMap.from_components(2, [y0 + s, y1 - s])
 
 
 def test_invert_mixing_linear_part():
@@ -194,7 +205,21 @@ def test_invert_mixing_linear_part():
 
 def test_invert_refuses_singular_linear_part():
     x, w = v(2, 0), v(2, 1)
-    assert invert_polymap(PolyMap.from_components(2, [x + w, x + w + x * x])) is None
+    f = PolyMap.from_components(2, [x + w, x + w + x * x])
+    assert invert_polymap(f) is None
+    assert refute_invertible(f) == "the linear part J(0) = [1, 1; 1, 1] is singular"
+
+
+def test_invert_refutes_by_the_degree_bound():
+    # det J = 1 + 2x^3 - x^2 - x is 1 at each sampled point, 0, 1 and -1/2;
+    # in one variable the bound (deg f)^(n-1) on the degree of an inverse is 1.
+    x = v(1, 0)
+    x2 = x * x
+    f = PolyMap.from_components(
+        1, [x + (x2 * x2).scale(Fraction(1, 2)) - (x2 * x).scale(Fraction(1, 3)) - x2.scale(Fraction(1, 2))]
+    )
+    assert invert_polymap(f) is None
+    assert "Bass-Connell-Wright" in refute_invertible(f)
 
 
 _small = st.integers(min_value=-2, max_value=2)
@@ -209,10 +234,9 @@ def _det(m):
 @st.composite
 def shear_linear_shear(draw, n=3):
     """S(L(U(y))): U a polynomial shear in a random variable order, L a
-    constant invertible matrix, S a constant unitriangular shear.
-
-    S is linear because a polynomial S, conjugated by L, is in general out
-    of back-substitution's reach, and the solver then returns None.
+    constant invertible matrix, S a unitriangular shear whose last
+    component adds a nonzero multiple of y_0^2.  When L mixes the
+    coordinates, f is triangular in no order of them.
     """
     order = draw(st.permutations(range(n)))
     comps = [None] * n
@@ -230,9 +254,9 @@ def shear_linear_shear(draw, n=3):
     linear = PolyMap.from_components(
         n, [sum((v(n, j).scale(c) for j, c in enumerate(row)), Polynomial.zero(n)) for row in matrix]
     )
-    outer = PolyMap.from_components(
-        n, [v(n, i) + sum((v(n, j).scale(draw(_small)) for j in range(i)), Polynomial.zero(n)) for i in range(n)]
-    )
+    outer = [v(n, i) + sum((v(n, j).scale(draw(_small)) for j in range(i)), Polynomial.zero(n)) for i in range(n)]
+    outer[-1] = outer[-1] + (v(n, 0) * v(n, 0)).scale(draw(st.sampled_from([-2, -1, 1, 2])))
+    outer = PolyMap.from_components(n, outer)
     return compose_all(inner, linear, outer)
 
 
@@ -265,15 +289,20 @@ def test_invert_permutation_and_scaling():
 
 
 def test_invert_refuses_noninvertible():
-    assert invert_polymap(PolyMap.from_components(1, [v(1, 0) * v(1, 0)])) is None
-    assert invert_polymap(PolyMap.selection(2, [0, 0])) is None
+    for f in (PolyMap.from_components(1, [v(1, 0) * v(1, 0)]), PolyMap.selection(2, [0, 0])):
+        assert invert_polymap(f) is None
+        assert "J(0)" in refute_invertible(f)
+    assert refute_invertible(PolyMap.selection(2, [0])) == "it maps dimension 2 to dimension 1"
 
 
 @settings(max_examples=30)
 @given(polymaps(3, 3, max_degree=1, max_terms=3))
 def test_inversion_is_two_sided_whenever_found(f):
+    # An affine map either inverts or has a singular linear part.
     inv = invert_polymap(f)
-    if inv is not None:
+    if inv is None:
+        assert "J(0)" in refute_invertible(f)
+    else:
         assert compose(f, inv) == PolyMap.identity(3)
         assert compose(inv, f) == PolyMap.identity(3)
         for pt in grid_points(3):

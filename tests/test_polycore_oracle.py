@@ -1,4 +1,4 @@
-"""Differential tests of the polynomial kernel against sympy.
+"""Differential tests of the polynomial kernel and the inverter against sympy.
 
 Every result is also checked to be canonical: ``Fraction`` coefficients, none
 zero, exponent vectors of the right length in strictly increasing graded-lex
@@ -9,10 +9,10 @@ keeps ``serialize``'s bytes well defined.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tangentcat.polycore import Polynomial, PolyMap, compose, jacobian
+from tangentcat.polycore import Polynomial, PolyMap, compose, compose_all, invert_polymap, jacobian, refute_invertible
 from tangentcat.tangent import T_map
 
 from conftest import polymaps, polynomials
@@ -168,3 +168,50 @@ def test_T_map_matches_its_definition(f):
         assert same(tf.components[i], expr)
         tangent = sum(sympy.diff(expr, x[j]) * t[j] for j in range(2))
         assert same(tf.components[3 + i], tangent)
+
+
+@st.composite
+def conjugated_shears(draw, n):
+    """B, then a unitriangular polynomial shear U, then A, plus a constant:
+    an automorphism whose linear part mixes the coordinates."""
+    def invertible_matrix():
+        rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+        assume(sympy.Matrix(rows).det() != 0)
+        return PolyMap(n, tuple(sum((v(n, j).scale(c) for j, c in enumerate(r)), Polynomial.zero(n)) for r in rows))
+
+    shear = [v(n, 0)]
+    for i in range(1, n):
+        lower = draw(polynomials(i, max_degree=2, max_terms=2))
+        shear.append(v(n, i) + lower.substitute([v(n, j) for j in range(i)]))
+    constant = PolyMap(n, tuple(v(n, i) + Polynomial.constant(n, draw(st.integers(-2, 2))) for i in range(n)))
+    return compose_all(invertible_matrix(), PolyMap(n, tuple(shear)), invertible_matrix(), constant)
+
+
+def _jacobian_determinant(f: PolyMap):
+    n = f.domain_dim
+    return sympy.expand(sympy.Matrix([[sympy.diff(to_sympy(c), X[j]) for j in range(n)] for c in f.components]).det())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        polymaps(2, 2, max_degree=2),
+        polymaps(3, 3, max_degree=2, max_terms=2),
+        conjugated_shears(2),
+        conjugated_shears(3),
+    )
+)
+def test_inverter_matches_sympy(f):
+    # Within these degrees the Bass-Connell-Wright bound lies inside the
+    # inverter's budget, so every map either inverts or is refuted.
+    inv = invert_polymap(f)
+    if inv is None:
+        assert refute_invertible(f) is not None
+        det = _jacobian_determinant(f)
+        assert det == 0 or not det.is_constant()
+        return
+    assert refute_invertible(f) is None
+    assert_canonical_map(inv)
+    for first, then in ((f, inv), (inv, f)):
+        for i, expr in enumerate(_compose_expr(first, then)):
+            assert sympy.expand(expr - Y[i]) == 0

@@ -23,7 +23,6 @@ from tangentcat.dbundle import (
 from tangentcat.whitney import (
     biproduct,
     biproduct_laws,
-    check_T_additive,
     hom_add,
     hom_zero,
     partial_add,
@@ -152,6 +151,30 @@ def test_recognize_mixed_fibre_coordinates():
     assert rec.biproduct is not None
     assert biproduct_laws(rec.biproduct).verdict is Status.PASS
     assert verify_bundle(rec.biproduct.sum).verdict is Status.PASS
+
+
+@pytest.mark.parametrize(
+    "first, second, refutation",
+    [
+        # (x, w1 + w2) twice: the linear part of the comparison map is singular
+        (lambda: x(3, 1) + x(3, 2), lambda: x(3, 1) + x(3, 2), "the linear part J(0) = [1, 0, 0; 0, 1, 1; 0, 1, 1] is singular"),
+        # (x, w1 (1 + x)) and (x, w2): det J = 1 + x is not constant
+        (lambda: x(3, 1) * (Polynomial.constant(3, 1) + x(3, 0)), lambda: x(3, 2), "det J is 1 at (0, 0, 0) but 2 at (1, 2, 3)"),
+    ],
+    ids=["singular-linear-part", "det-J-not-constant"],
+)
+def test_recognize_refutes_a_comparison_map_without_inverse(first, second, refutation):
+    tv = trivial_bundle(Space.euclidean(1), 1)
+    total = biproduct([tv, tv]).sum.total
+    projections = [
+        PolyMap.from_components(3, [x(3, 0), first()]),
+        PolyMap.from_components(3, [x(3, 0), second()]),
+    ]
+    rec = recognize_biproduct(total, projections, [tv, tv])
+    assert rec.report.verdict is Status.FAIL
+    assert rec.biproduct is None and rec.inverse is None
+    record = rec.report.records[-1]
+    assert (record.name, record.status, record.witness) == ("comparison inversion", Status.FAIL, refutation)
 
 
 def test_recognize_rejects_dropped_projection():
@@ -300,19 +323,3 @@ def test_identity_resolution_lemma_every_enumeration():
         lhs = partial_add(_keep(bp, [i, k]), _keep(bp, [i, j]), bp, i)
         assert map_equal(lhs, PolyMap.identity(bp.sum.total.dim))
 
-
-# ------------------------------------------------------------- T additivity
-
-
-def test_T_additive_on_identity_pair():
-    tv = trivial_bundle(Space.euclidean(1), 1)
-    assert check_T_additive(PolyMap.identity(2), PolyMap.identity(2), tv, tv).verdict is Status.PASS
-
-
-def test_T_additive_on_linear_pair():
-    tm = tangent_bundle(Space.euclidean(1))
-    f = PolyMap.from_components(2, [x(2, 0), x(2, 1).scale(2)])
-    g = hom_zero(tm, tm)
-    assert check_T_additive(f, g, tm, tm).verdict is Status.PASS
-    h = PolyMap.from_components(2, [x(2, 0), x(2, 0) * x(2, 1)])
-    assert check_T_additive(f, h, tm, tm).verdict is Status.PASS
