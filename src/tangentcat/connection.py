@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .polycore import (
+    NotInvertible,
     PolyMap,
     Polynomial,
     ShapeError,
@@ -38,7 +39,7 @@ from .polycore import (
     eval_map,
     power_pair,
 )
-from .report import CheckRecord, Report, Status
+from .report import Report, Status
 from .dbundle import (
     DiffBundle,
     bundle_difference,
@@ -107,11 +108,10 @@ class Decomposition:
         """H = iota_12 ; theta^-1, with iota_12 (x, w, u) -> (x, w, u, zero fibre)."""
         b = self.biproduct.summands[0]
         hat = b.total.dim + b.base.dim
-        base = [Polynomial.variable(hat, i) for i in range(b.base.dim)]
         iota12 = PolyMap(
             hat,
-            tuple(Polynomial.variable(hat, i) for i in range(hat))
-            + tuple(z.substitute(base) for z in _zeta_fibre(b).components),
+            PolyMap.identity(hat).components
+            + compose(PolyMap.selection(hat, range(b.base.dim)), _zeta_fibre(b)).components,
         )
         return compose(iota12, self.theta_inv)
 
@@ -203,11 +203,9 @@ def check_pair(c: Connection) -> Report:
     rhs = compose_all(horizontal_proj_total(b), b.q, b.zeta)
     rep.check_equal("compatibility", "H then K factors through the zero section", compose(c.H, c.K), rhs)
 
-    p_e = PolyMap.selection(2 * e, range(e))
-
     def sides() -> tuple[PolyMap, PolyMap]:
         # Parts that lie over different points of E cannot be added.
-        vertical_part = compose(power_pair(e, b.base_coords, [c.K, p_e]), mu_map(b))
+        vertical_part = compose(power_pair(e, b.base_coords, [c.K, proj_p(b.total)]), mu_map(b))
         horizontal_part = compose(section_target(b), c.H)
         paired = power_pair(2 * e, range(e), [vertical_part, horizontal_part])
         return compose(paired, add_plus(b.total)), PolyMap.identity(2 * e)
@@ -224,9 +222,9 @@ class _Effectiveness:
 
     report: Report
     decomposition: Optional[Decomposition] = None
-    # the pairing-inversion record when the gate passed but theta did not
-    # invert: a refutation, or cannot-certify on the inverter's budget
-    pairing: Optional[CheckRecord] = None
+    # what the inversion of theta raised, when the gate passed but theta
+    # did not invert
+    refutation: Optional[NotInvertible] = None
     # the injections against the structural maps, once the sum is recognized
     injections: Report = field(default_factory=lambda: Report(subject="injections"))
 
@@ -239,23 +237,14 @@ def _effectiveness(c: Connection, vertical: Optional[Report]) -> _Effectiveness:
     if not vert.passed:
         return _Effectiveness(rep)
     summands = (b, tangent_bundle(b.base), b)
-    projections = (
-        PolyMap.selection(2 * b.total.dim, range(b.total.dim)),
-        T_map(b.q),
-        c.K,
-    )
+    projections = (proj_p(b.total), T_map(b.q), c.K)
     # The comparison map of this sum is the pairing theta.  The vertical gate
-    # makes the three projections agree on the base, so a recognition with no
-    # inverse stopped at its last record, the inversion of theta.
+    # makes the three projections agree on the base, so the recognition
+    # reaches the inversion of theta.
     recog = recognize_biproduct(T_obj(b.total), projections, summands)
-    if recog.inverse is None:
-        pairing = replace(
-            recog.report.records[-1],
-            name="pairing inversion",
-            law="the three-way pairing has a two-sided polynomial inverse",
-        )
-        rep.add(pairing)
-        return _Effectiveness(rep, pairing=pairing)
+    if recog.refutation is not None:
+        rep.no_inverse("pairing inversion", "the three-way pairing has a two-sided polynomial inverse", recog.refutation)
+        return _Effectiveness(rep, refutation=recog.refutation)
     rep.check("pairing inversion", "two-sided polynomial inverse found", True, None)
     rep.extend(recog.report, prefix="Whitney sum: ")
     if recog.biproduct is None:
@@ -409,11 +398,11 @@ def equivalence_suite(c: Connection) -> Report:
         ("sum presentation", "TE is the stated Whitney sum with structural injections and partials"),
         ("product presentation", "K retracts the lift and the pairing exhibits the stated product"),
     )
-    if eff.pairing is not None:
+    if eff.refutation is not None:
         # Every leg needs the inverse of theta: each carries its refutation,
         # or the exhausted budget.
         for name, law in legs:
-            rep.add(replace(eff.pairing, name=name, law=law))
+            rep.no_inverse(name, law, eff.refutation)
     else:
         # Leg 1: some H makes (K, H) a full connection pair, with H read off
         # the decomposition when none is supplied.

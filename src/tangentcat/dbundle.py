@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .polycore import (
+    NotInvertible,
     PolyMap,
     Polynomial,
     ShapeError,
@@ -178,9 +179,9 @@ def check_universality(b: DiffBundle) -> Report:
     solves it, and reading its inputs off those coordinates of TE gives the
     candidate inverse nu, which is then checked on both sides.  mu need not
     be affine in the fibre variables: on the tangent space of a total space
-    it never is.  A restricted mu with no inverse fails with polycore's
-    refutation witness, and is cannot-certify only when the inverter's
-    degree budget runs out.
+    it never is.  When ``invert_polymap`` raises ``NotInvertible``, the
+    record fails with its witness, or is cannot-certify when only the
+    inverter's degree budget ran out.
     """
     rep = Report(subject="lift universality (axiom 4)")
     e = b.total.dim
@@ -199,9 +200,10 @@ def check_universality(b: DiffBundle) -> Report:
     )
     out_positions = list(range(e)) + [e + i for i in b.fibre_coords]
     restricted = PolyMap(sq_dim, tuple(mu.components[pos] for pos in out_positions))
-    solved = invert_polymap(restricted)
-    if solved is None:
-        rep.no_inverse("shear inversion", "mu is solvable for the summands", restricted)
+    try:
+        solved = invert_polymap(restricted)
+    except NotInvertible as exc:
+        rep.no_inverse("shear inversion", "mu is solvable for the summands", exc)
         return rep
     nu = compose(PolyMap.selection(2 * e, out_positions), solved)
 

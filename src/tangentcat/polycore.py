@@ -443,10 +443,6 @@ def power_pair(total_dim: int, base_coords: Sequence[int], maps: Sequence[PolyMa
 # degree, so an inverse beyond it is never found, and a refutation by the
 # Bass-Connell-Wright bound needs that bound to lie within it.
 DEGREE_BUDGET = 64
-BUDGET_WITNESS = (
-    f"no inverse of degree at most {DEGREE_BUDGET}, the inverter's degree budget, "
-    "which is below the Bass-Connell-Wright bound (deg f)^(n-1)"
-)
 
 
 def _gauss_jordan(rows: list[dict[int, Fraction]]) -> tuple[Fraction, Optional[list[dict[int, Fraction]]]]:
@@ -500,22 +496,52 @@ def _det_witness(f: PolyMap) -> Optional[str]:
     return None
 
 
-def _decide(f: PolyMap) -> tuple[Optional[PolyMap], Optional[str]]:
-    """The checked inverse of f, or None with a refutation (None on the budget).
+class NotInvertible(Exception):
+    """Raised by ``invert_polymap`` for a map it returns no inverse of.
+
+    ``witness`` is an exact refutation, unless ``budget`` is set: then only
+    the degree budget ran out, and the witness names it.  It is not a
+    ``ValueError``, which the CLI turns into exit 1: that would hide a
+    missed catch.
+    """
+
+    def __init__(self, witness: str, budget: bool = False) -> None:
+        super().__init__(witness)
+        self.witness = witness
+        self.budget = budget
+
+
+def invert_polymap(f: PolyMap) -> PolyMap:
+    """The two-sided polynomial inverse of f; the engine's only inverter.
 
     With A = J_f(0) and c = f(0), g = A^-1 (f - c) = y + h(y), h of order
     at least 2, and f^-1 = G after x -> A^-1 (x - c), where G is the fixed
     point of G <- x - h(G).  G is expanded one homogeneous degree at a time:
     G_k = -[h(G)]_k needs G only below degree k.  From degree deg f on, each
     truncation is tried at one rational point, and one that passes there is
-    checked by both composites.  The expansion stops at the
-    Bass-Connell-Wright bound (deg f)^(n-1) on the degree of an inverse, or
-    at ``DEGREE_BUDGET`` when that is smaller; only at the bound does it
-    refute f.  det J_f is sampled once, if G has not closed by degree deg f.
+    checked by one composite.  The expansion stops at the
+    Bass-Connell-Wright bound (deg f)^(n-1) on the degree of an inverse
+    (Bass, Connell & Wright, "The Jacobian conjecture", Bull. AMS 7, 1982),
+    or at ``DEGREE_BUDGET`` when that is smaller.  det J_f is sampled once,
+    if G has not closed by degree deg f.
+
+    A candidate g is certified by f(g(x)) = x alone, the cheaper composite:
+    it substitutes g into the low-degree f.  That makes g two-sided.  The
+    chain rule gives J_f(g(x)) J_g(x) = I, so J_g(0) is invertible and g
+    has a formal inverse phi at g(0): g(phi(y)) = y and phi(g(x)) = x as
+    power series.  Then f(y) = f(g(phi(y))) = phi(y) as power series at
+    g(0), so g(f(y)) = g(phi(y)) = y there.  g(f(y)) - y is a polynomial
+    whose expansion at g(0) vanishes, so it is zero.
+
+    Raises ``NotInvertible`` with an exact witness when f has no inverse:
+    f is not square, J_f(0) is singular, det J_f vanishes or differs at
+    fixed rational points, or no inverse exists within the
+    Bass-Connell-Wright bound.  When the budget is below that bound and
+    runs out, the witness names the budget and ``budget`` is set.
     """
     n = f.domain_dim
     if f.codomain_dim != n:
-        return None, f"it maps dimension {n} to dimension {f.codomain_dim}"
+        raise NotInvertible(f"it maps dimension {n} to dimension {f.codomain_dim}")
     # J_f(0) and f(0) from the terms of degree at most one, which lead
     low = [list(takewhile(lambda t: sum(t[0]) < 2, c.terms)) for c in f.components]
     linear = [{e.index(1): c for e, c in terms if any(e)} for terms in low]
@@ -523,7 +549,7 @@ def _decide(f: PolyMap) -> tuple[Optional[PolyMap], Optional[str]]:
     a_inv = _gauss_jordan(linear)[1]
     if a_inv is None:
         rows = "; ".join(", ".join(str(row.get(j, 0)) for j in range(n)) for row in linear)
-        return None, f"the linear part J(0) = [{rows}] is singular"
+        raise NotInvertible(f"the linear part J(0) = [{rows}] is singular")
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     shift = PolyMap(n, tuple(  # x -> A^-1 (x - c)
         Polynomial(n, _sorted_terms({(0,) * n: -sum(a * consts[j] for j, a in row.items()),
@@ -548,7 +574,6 @@ def _decide(f: PolyMap) -> tuple[Optional[PolyMap], Optional[str]]:
     cap = min(bound, DEGREE_BUDGET)
     point = [Fraction(i + 2, 2 * i + 3) for i in range(n)]  # (2/3, 3/5, 4/7, ...)
     at = list(point)  # G at the point, truncated at degree k
-    ident = PolyMap.identity(n)
     for k in range(1, cap + 1):
         for _, m, parent, i in recipe if k > 1 else ():
             part: dict[Exponent, Fraction] = {}
@@ -569,36 +594,17 @@ def _decide(f: PolyMap) -> tuple[Optional[PolyMap], Optional[str]]:
             inv = compose(shift, PolyMap(n, tuple(
                 Polynomial(n, _sorted_terms({e: c for part in parts[u] for e, c in part.items()})) for u in units
             )))
-            if map_equal(compose(f, inv), ident) and map_equal(compose(inv, f), ident):
-                return inv, None
+            if map_equal(compose(inv, f), PolyMap.identity(n)):
+                return inv
         if k == min(deg, cap) and (witness := _det_witness(f)):
-            return None, witness
+            raise NotInvertible(witness)
     if cap < bound:
-        return None, None
-    return None, (
+        raise NotInvertible(
+            f"no inverse of degree at most {DEGREE_BUDGET}, the inverter's degree budget, "
+            "which is below the Bass-Connell-Wright bound (deg f)^(n-1)",
+            budget=True,
+        )
+    raise NotInvertible(
         f"it has no inverse of degree at most {bound} = (deg f)^(n-1), "
         "the Bass-Connell-Wright bound on the degree of an inverse"
     )
-
-
-def invert_polymap(f: PolyMap) -> Optional[PolyMap]:
-    """The two-sided polynomial inverse of f, or None; the engine's only inverter.
-
-    One algorithm for every map (see ``_decide``).  None means f is refuted
-    or its inverse lies beyond ``DEGREE_BUDGET``; ``refute_invertible``
-    tells which.
-    """
-    return _decide(f)[0]
-
-
-def refute_invertible(f: PolyMap) -> Optional[str]:
-    """An exact witness that f has no polynomial inverse, or None.
-
-    The witness is one of: J_f(0) is singular; det J_f vanishes, or differs,
-    at fixed rational points; the formal inverse is not a polynomial of
-    degree at most the Bass-Connell-Wright bound (deg f)^(n-1).  None from
-    both this and ``invert_polymap`` means the degree budget ran out:
-    cannot-certify, with ``BUDGET_WITNESS``.  It reruns the decision of
-    ``invert_polymap``, so callers ask only after that returned None.
-    """
-    return _decide(f)[1]

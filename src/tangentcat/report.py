@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .polycore import BUDGET_WITNESS, PolyMap, ShapeError, first_difference, map_equal, refute_invertible
+from .polycore import NotInvertible, PolyMap, ShapeError, first_difference, map_equal
 
 
 class Status(str, Enum):
@@ -61,11 +61,10 @@ class Report:
         """Record a sub-report as one check, witnessed by its failing names."""
         return self.check(name, law, sub.passed, "; ".join(r.name for r in sub.failing()) or None)
 
-    def no_inverse(self, name: str, law: str, f: PolyMap) -> None:
-        """Record that ``invert_polymap`` found no inverse of f: a failure with
-        polycore's refutation, or cannot-certify when only its budget ran out."""
-        witness = refute_invertible(f)
-        self.add(CheckRecord(name, law, Status.FAIL if witness else Status.CANNOT_CERTIFY, witness or BUDGET_WITNESS))
+    def no_inverse(self, name: str, law: str, exc: NotInvertible) -> None:
+        """Record an inversion that raised ``exc``: a failure with its
+        refutation, or cannot-certify when only the degree budget ran out."""
+        self.add(CheckRecord(name, law, Status.CANNOT_CERTIFY if exc.budget else Status.FAIL, exc.witness))
 
     def cannot_certify(self, name: str, law: str, witness: Optional[str] = None) -> None:
         self.add(CheckRecord(name, law, Status.CANNOT_CERTIFY, witness))

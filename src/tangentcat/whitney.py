@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .polycore import (
+    NotInvertible,
     PolyMap,
     Polynomial,
     ShapeError,
@@ -65,10 +66,6 @@ def _positions(summands: Sequence[DiffBundle], m: int, i: int) -> list[int]:
     for k, p in enumerate(s.fibre_coords):
         pos[p] = start + k
     return pos
-
-
-def _subst(m: PolyMap, args: Sequence[Polynomial]) -> list[Polynomial]:
-    return [c.substitute(list(args)) for c in m.components]
 
 
 def hom_zero(src: DiffBundle, dst: DiffBundle) -> PolyMap:
@@ -121,13 +118,13 @@ def _section(summands: Sequence[DiffBundle], m: int, fixed: Optional[int] = None
         dom, base_coords = m, range(m)
     else:
         dom, base_coords = summands[fixed].total.dim, summands[fixed].base_coords
-    qb = [Polynomial.variable(dom, p) for p in base_coords]
-    comps: list[Polynomial] = list(qb)
+    qb = PolyMap.selection(dom, base_coords)
+    comps: list[Polynomial] = list(qb.components)
     for i, s in enumerate(summands):
         if i == fixed:
             comps.extend(Polynomial.variable(dom, p) for p in s.fibre_coords)
         else:
-            comps.extend(_subst(_zeta_fibre(s), qb))
+            comps.extend(compose(qb, _zeta_fibre(s)).components)
     return PolyMap(dom, tuple(comps))
 
 
@@ -147,12 +144,10 @@ def _concatenated(
     sq = e + sum(f for i, f in enumerate(fdims) if i != fixed)
     total = Space(e, base.layout + tuple((f"w{i + 1}", f) for i, f in enumerate(fdims) if f))
 
-    def base_vars(dom: int) -> list[Polynomial]:
-        return [Polynomial.variable(dom, k) for k in range(m)]
-
+    qe = PolyMap.selection(e, range(m))
     # sigma on the square (x, w_1..w_r, then a second copy of each added
     # block): add each block through the corresponding summand's addition.
-    sigma_comps: list[Polynomial] = base_vars(sq)
+    sigma_comps: list[Polynomial] = [Polynomial.variable(sq, k) for k in range(m)]
     lift_fibre: list[Polynomial] = []
     lift_tangent: list[Polynomial] = []
     extra = e
@@ -167,10 +162,10 @@ def _concatenated(
         pair = PolyMap.selection(sq, pos + list(range(extra, extra + fdims[i])))
         extra += fdims[i]
         sigma_comps.extend(compose(pair, _sigma_fibre(s)).components)
-        lift_fibre.extend(_subst(_zeta_fibre(s), base_vars(e)))
+        lift_fibre.extend(compose(qe, _zeta_fibre(s)).components)
         lift_tangent.extend(compose(PolyMap.selection(e, pos), _lift_tangent_fibre(s)).components)
     sigma = PolyMap(sq, tuple(sigma_comps))
-    lift = PolyMap(e, tuple(base_vars(e) + lift_fibre + [Polynomial.zero(e)] * m + lift_tangent))
+    lift = PolyMap(e, qe.components + tuple(lift_fibre + [Polynomial.zero(e)] * m + lift_tangent))
 
     if fixed is None:
         over, base_coords = base, tuple(range(m))
@@ -239,13 +234,13 @@ def biproduct_laws(bp: BiproductBundle) -> Report:
 class Recognition:
     """Outcome of presenting a space as a Whitney sum via given projections.
 
-    ``inverse`` is the inverse of the comparison map once it has been found,
-    even when a later check refutes the sum.
+    ``refutation`` is what the inversion of the comparison map raised, when
+    the recognition stopped there.
     """
 
     report: Report
     biproduct: Optional[BiproductBundle]
-    inverse: Optional[PolyMap] = None
+    refutation: Optional[NotInvertible] = None
 
 
 def recognize_biproduct(
@@ -256,11 +251,12 @@ def recognize_biproduct(
     """Decide whether the projections present ``total`` as a Whitney sum.
 
     Assembles the comparison map onto the canonical concatenated model and
-    looks for a two-sided polynomial inverse.  On success the canonical
-    structure is transported back across the comparison isomorphism.  A
-    comparison map with no inverse fails with polycore's refutation
-    witness, and is cannot-certify only when the inverter's degree budget
-    runs out.
+    inverts it with ``invert_polymap``.  On success the canonical structure
+    is transported back across the comparison isomorphism.  When the
+    inverter raises ``NotInvertible``, the "comparison inversion" record
+    fails with its witness, or is cannot-certify when only the degree
+    budget ran out, and the recognition carries the exception as its
+    ``refutation``.
     """
     rep = Report(subject="biproduct recognition")
     summands = tuple(summands)
@@ -293,10 +289,11 @@ def recognize_biproduct(
     for p, s in zip(projections, summands):
         comps.extend(p.components[k] for k in s.fibre_coords)
     psi = PolyMap(total.dim, tuple(comps))
-    psi_inv = invert_polymap(psi)
-    if psi_inv is None:
-        rep.no_inverse("comparison inversion", "comparison map onto the concatenated model is invertible", psi)
-        return Recognition(rep, None)
+    try:
+        psi_inv = invert_polymap(psi)
+    except NotInvertible as exc:
+        rep.no_inverse("comparison inversion", "comparison map onto the concatenated model is invertible", exc)
+        return Recognition(rep, None, exc)
     rep.check("comparison isomorphism", "two-sided polynomial inverse found", True, None)
     rep.check_equal(
         "tangential",
@@ -308,7 +305,7 @@ def recognize_biproduct(
         sum_here = transport_bundle(canon.sum, psi, psi_inv, total)
     except ShapeError as exc:
         rep.cannot_certify("standard position", "transported projection is a coordinate selection", str(exc))
-        return Recognition(rep, None, psi_inv)
+        return Recognition(rep, None)
     injections = tuple(compose(inj, psi_inv) for inj in canon.injections)
     bp = BiproductBundle(
         sum=sum_here,
@@ -319,7 +316,7 @@ def recognize_biproduct(
         from_canonical=psi_inv,
     )
     rep.extend(biproduct_laws(bp))
-    return Recognition(rep, bp if rep.passed else None, psi_inv)
+    return Recognition(rep, bp if rep.passed else None)
 
 
 def partial_bundle(bp: BiproductBundle, j: int) -> PartialBundle:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tangentcat.polycore import (
+    NotInvertible,
     Polynomial,
     PolyMap,
     ShapeError,
@@ -19,9 +20,10 @@ from tangentcat.polycore import (
     jacobian,
     map_equal,
     pair_into,
-    refute_invertible,
     selection_indices,
 )
+
+from tangentcat.report import Report, Status
 
 from conftest import grid_points, polymaps, polynomials, rational_points
 
@@ -181,8 +183,9 @@ def test_invert_base_dependent_shear():
 def test_invert_refuses_non_constant_pivot():
     x, a = v(2, 0), v(2, 1)
     f = PolyMap.from_components(2, [x, a * (Polynomial.constant(2, 1) + x)])
-    assert invert_polymap(f) is None
-    assert refute_invertible(f) == "det J is 1 at (0, 0) but 2 at (1, 2)"
+    with pytest.raises(NotInvertible) as info:
+        invert_polymap(f)
+    assert (info.value.witness, info.value.budget) == ("det J is 1 at (0, 0) but 2 at (1, 2)", False)
 
 
 def test_invert_outer_shear():
@@ -206,8 +209,9 @@ def test_invert_mixing_linear_part():
 def test_invert_refuses_singular_linear_part():
     x, w = v(2, 0), v(2, 1)
     f = PolyMap.from_components(2, [x + w, x + w + x * x])
-    assert invert_polymap(f) is None
-    assert refute_invertible(f) == "the linear part J(0) = [1, 1; 1, 1] is singular"
+    with pytest.raises(NotInvertible) as info:
+        invert_polymap(f)
+    assert info.value.witness == "the linear part J(0) = [1, 1; 1, 1] is singular"
 
 
 def test_invert_refutes_by_the_degree_bound():
@@ -218,8 +222,19 @@ def test_invert_refutes_by_the_degree_bound():
     f = PolyMap.from_components(
         1, [x + (x2 * x2).scale(Fraction(1, 2)) - (x2 * x).scale(Fraction(1, 3)) - x2.scale(Fraction(1, 2))]
     )
-    assert invert_polymap(f) is None
-    assert "Bass-Connell-Wright" in refute_invertible(f)
+    with pytest.raises(NotInvertible, match="Bass-Connell-Wright") as info:
+        invert_polymap(f)
+    assert not info.value.budget
+
+
+def test_no_inverse_fails_a_refutation_and_cannot_certify_the_budget():
+    rep = Report(subject="inversions")
+    rep.no_inverse("refuted", "f inverts", NotInvertible("det J vanishes at (0)"))
+    rep.no_inverse("budget", "f inverts", NotInvertible("no inverse of degree at most 64", budget=True))
+    assert [(r.status, r.witness) for r in rep.records] == [
+        (Status.FAIL, "det J vanishes at (0)"),
+        (Status.CANNOT_CERTIFY, "no inverse of degree at most 64"),
+    ]
 
 
 _small = st.integers(min_value=-2, max_value=2)
@@ -290,20 +305,23 @@ def test_invert_permutation_and_scaling():
 
 def test_invert_refuses_noninvertible():
     for f in (PolyMap.from_components(1, [v(1, 0) * v(1, 0)]), PolyMap.selection(2, [0, 0])):
-        assert invert_polymap(f) is None
-        assert "J(0)" in refute_invertible(f)
-    assert refute_invertible(PolyMap.selection(2, [0])) == "it maps dimension 2 to dimension 1"
+        with pytest.raises(NotInvertible, match=r"J\(0\)"):
+            invert_polymap(f)
+    with pytest.raises(NotInvertible) as info:
+        invert_polymap(PolyMap.selection(2, [0]))
+    assert info.value.witness == "it maps dimension 2 to dimension 1"
 
 
 @settings(max_examples=30)
 @given(polymaps(3, 3, max_degree=1, max_terms=3))
 def test_inversion_is_two_sided_whenever_found(f):
     # An affine map either inverts or has a singular linear part.
-    inv = invert_polymap(f)
-    if inv is None:
-        assert "J(0)" in refute_invertible(f)
-    else:
-        assert compose(f, inv) == PolyMap.identity(3)
-        assert compose(inv, f) == PolyMap.identity(3)
-        for pt in grid_points(3):
-            assert eval_map(inv, list(eval_map(f, pt))) == tuple(pt)
+    try:
+        inv = invert_polymap(f)
+    except NotInvertible as exc:
+        assert "J(0)" in exc.witness
+        return
+    assert compose(f, inv) == PolyMap.identity(3)
+    assert compose(inv, f) == PolyMap.identity(3)
+    for pt in grid_points(3):
+        assert eval_map(inv, list(eval_map(f, pt))) == tuple(pt)

@@ -1,9 +1,11 @@
 """Hom-monoid laws, Whitney sums, recognition, and partial bundles."""
 
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
+from tangentcat import polycore
 from tangentcat.polycore import (
     Polynomial,
     PolyMap,
@@ -172,9 +174,32 @@ def test_recognize_refutes_a_comparison_map_without_inverse(first, second, refut
     ]
     rec = recognize_biproduct(total, projections, [tv, tv])
     assert rec.report.verdict is Status.FAIL
-    assert rec.biproduct is None and rec.inverse is None
+    assert rec.biproduct is None
+    assert rec.refutation is not None and rec.refutation.witness == refutation
     record = rec.report.records[-1]
     assert (record.name, record.status, record.witness) == ("comparison inversion", Status.FAIL, refutation)
+
+
+def test_a_refuted_map_is_decided_once(monkeypatch):
+    # det J is sampled once per refuted map: the witness comes from the one
+    # inversion that failed, not from deciding the map again.
+    calls = []
+    sample = polycore._det_witness
+    monkeypatch.setattr(polycore, "_det_witness", lambda f: calls.append(f) or sample(f))
+    tv = trivial_bundle(Space.euclidean(1), 1)
+    w = x(2, 1)
+    # the dw slot of the lift is w + 3w^2: mu has det J = 1 + 6w
+    mutant = replace(tv, lift=PolyMap(2, tv.lift.components[:3] + (w + (w * w).scale(3),)))
+    checks = {r.name: r for r in verify_bundle(mutant).records}
+    assert checks["axiom 4: shear inversion"].status is Status.FAIL
+    assert len(calls) == 1
+    projections = [
+        PolyMap.from_components(3, [x(3, 0), x(3, 1) * (Polynomial.constant(3, 1) + x(3, 0))]),
+        PolyMap.from_components(3, [x(3, 0), x(3, 2)]),
+    ]
+    rec = recognize_biproduct(biproduct([tv, tv]).sum.total, projections, [tv, tv])
+    assert rec.report.records[-1].status is Status.FAIL
+    assert len(calls) == 2
 
 
 def test_recognize_rejects_dropped_projection():
