@@ -47,6 +47,7 @@ from .connection import (
     derive_horizontal,
     equivalence_suite,
     recompose_point,
+    verify_connection,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from typing import Optional
 
 from .polycore import Polynomial, ShapeError
@@ -25,10 +24,10 @@ from .connection import (
     check_effective,
     check_horizontal,
     check_pair,
-    check_vertical,
     christoffel_connection,
     decompose_point,
     derive_horizontal,
+    verify_connection,
 )
 from . import serialize
 from .serialize import SerializationError
@@ -120,26 +119,11 @@ def _exit_code(report: Report) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _connection_gate(c: Connection) -> tuple[Report, Optional[Connection], Optional[object]]:
-    """Run the full chain: vertical, effectiveness, derived H, horizontal, pair."""
-    rep = Report(subject="connection gate")
-    vert = check_vertical(c)
-    rep.extend(vert, prefix="vertical: ")
-    eff, decomp = check_effective(c, vert)
-    rep.extend(eff, prefix="effectiveness: ")
-    if decomp is None:
-        return rep, None, None
-    full = c if c.H is not None else replace(c, H=decomp.horizontal())
-    rep.extend(check_horizontal(full), prefix="horizontal: ")
-    rep.extend(check_pair(full), prefix="pair: ")
-    return rep, full, decomp
-
-
 def cmd_verify(args) -> int:
     if args.kind == "bundle":
         report = verify_bundle(_read(args, "bundle"))
     else:
-        report, _, _ = _connection_gate(_read(args))
+        report, _ = verify_connection(_read(args))
     _emit(report, args.format)
     return _exit_code(report)
 
@@ -221,7 +205,7 @@ def cmd_demo(args) -> int:
         _emit(report, args.format)
         return _exit_code(report)
     c = canonical_connection(1) if args.name == "canonical" else _demo_christoffel()
-    report, full, decomp = _connection_gate(c)
+    report, decomp = verify_connection(c)
     if decomp is not None:
         report.extend(verify_bundle(decomp.biproduct.sum), prefix="total bundle: ")
     _emit(report, args.format)

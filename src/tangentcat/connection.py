@@ -46,7 +46,6 @@ from .dbundle import (
     linear_morphism_report,
     mu_map,
     tangent_bundle,
-    tangent_of_bundle,
 )
 from .tangent import Space, T_map, T_obj, add_plus, lift_l, proj_p, zero_0
 from .whitney import (
@@ -116,10 +115,6 @@ class Decomposition:
         return compose(iota12, self.theta_inv)
 
 
-def horizontal_proj_total(b: DiffBundle) -> PolyMap:
-    return PolyMap.selection(b.total.dim + b.base.dim, range(b.total.dim))
-
-
 def section_target(b: DiffBundle) -> PolyMap:
     """U = <p_E, T(q)> : TE -> E x_M TM."""
     e, m = b.total.dim, b.base.dim
@@ -138,7 +133,7 @@ def check_vertical(c: Connection) -> Report:
             "over the tangent base projection",
             c.K,
             proj_p(b.base),
-            tangent_of_bundle(b),
+            b.tangent,
             b,
         ),
         prefix="linearity over the base projection: ",
@@ -185,7 +180,7 @@ def check_horizontal(c: Connection) -> Report:
             c.H,
             PolyMap.identity(2 * b.base.dim),
             partial_bundle(sources, 1).bundle,
-            tangent_of_bundle(b),
+            b.tangent,
         ),
         prefix="linearity over the tangent base: ",
     )
@@ -200,7 +195,7 @@ def check_pair(c: Connection) -> Report:
         rep.check("presence", "a horizontal map is supplied", False, "no H given")
         return rep
     e = b.total.dim
-    rhs = compose_all(horizontal_proj_total(b), b.q, b.zeta)
+    rhs = compose_all(PolyMap.selection(e + b.base.dim, range(e)), b.q, b.zeta)
     rep.check_equal("compatibility", "H then K factors through the zero section", compose(c.H, c.K), rhs)
 
     def sides() -> tuple[PolyMap, PolyMap]:
@@ -229,10 +224,10 @@ class _Effectiveness:
     injections: Report = field(default_factory=lambda: Report(subject="injections"))
 
 
-def _effectiveness(c: Connection, vertical: Optional[Report]) -> _Effectiveness:
+def _effectiveness(c: Connection, vert: Report) -> _Effectiveness:
+    """Invert theta past the gate of ``vert``, the ``check_vertical(c)`` report."""
     b = c.bundle
     rep = Report(subject="effectiveness")
-    vert = check_vertical(c) if vertical is None else vertical
     rep.summary("gate", "the vertical identities hold", vert)
     if not vert.passed:
         return _Effectiveness(rep)
@@ -270,7 +265,7 @@ def _effectiveness(c: Connection, vertical: Optional[Report]) -> _Effectiveness:
         d1 is None,
         d1,
     )
-    d2 = bundle_difference(second, tangent_of_bundle(b))
+    d2 = bundle_difference(second, b.tangent)
     rep.check(
         "second partial bundle",
         "equals the tangent of the bundle",
@@ -283,16 +278,53 @@ def _effectiveness(c: Connection, vertical: Optional[Report]) -> _Effectiveness:
     return _Effectiveness(rep, decomp, injections=injections)
 
 
-def check_effective(
-    c: Connection, vertical: Optional[Report] = None
-) -> tuple[Report, Optional[Decomposition]]:
+def check_effective(c: Connection) -> tuple[Report, Optional[Decomposition]]:
     """Invert the three-way pairing and transport the Whitney-sum structure.
 
-    ``vertical`` is the ``check_vertical(c)`` report when the caller already
-    has it; otherwise the vertical identities are checked here.
+    The vertical identities are checked first, as the gate: the pairing is
+    inverted only when they hold.  The decomposition is returned only when
+    every record passes.
     """
-    eff = _effectiveness(c, vertical)
+    eff = _effectiveness(c, check_vertical(c))
     return eff.report, eff.decomposition
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """The reports of one pass through the connection checks, in order."""
+
+    vertical: Report
+    effectiveness: _Effectiveness
+    # on the given H, or on the one read off the decomposition; only when K
+    # is effective
+    horizontal: Optional[Report] = None
+    pair: Optional[Report] = None
+
+
+def _chain(c: Connection) -> _Chain:
+    vert = check_vertical(c)
+    eff = _effectiveness(c, vert)
+    if eff.decomposition is None:
+        return _Chain(vert, eff)
+    full = c if c.H is not None else replace(c, H=eff.decomposition.horizontal())
+    return _Chain(vert, eff, check_horizontal(full), check_pair(full))
+
+
+def verify_connection(c: Connection) -> tuple[Report, Optional[Decomposition]]:
+    """Check K, its effectiveness, then H and the pair, with H derived when absent.
+
+    A connection is one effective K: past the vertical identities theta
+    inverts, and H = iota_12 ; theta^-1 when none is supplied.  The
+    decomposition is returned when K is effective.
+    """
+    chain = _chain(c)
+    rep = Report(subject="connection gate")
+    rep.extend(chain.vertical, prefix="vertical: ")
+    rep.extend(chain.effectiveness.report, prefix="effectiveness: ")
+    if chain.horizontal is not None:
+        rep.extend(chain.horizontal, prefix="horizontal: ")
+        rep.extend(chain.pair, prefix="pair: ")
+    return rep, chain.effectiveness.decomposition
 
 
 def derive_horizontal(c: Connection) -> Connection:
@@ -383,14 +415,14 @@ def equivalence_suite(c: Connection) -> Report:
     is the Whitney sum E + TM + E with the stated projections, injections
     and first/second partial structures; K retracts the lift and the pairing
     exhibits that product, whose projections are fixed but whose injections
-    are not.  The legs share one vertical check and one effectiveness check.
+    are not.  The legs read the one pass of ``verify_connection``'s checks.
     For a genuine connection all legs pass; for a defective K all legs must
     fail together.
     """
     b = c.bundle
     rep = Report(subject="equivalence of presentations")
-    vert = check_vertical(c)
-    eff = _effectiveness(c, vert)
+    chain = _chain(c)
+    vert, eff = chain.vertical, chain.effectiveness
     eff_rep, decomp = eff.report, eff.decomposition
     legs = (
         ("pair presentation", "a compatible horizontal map exists"),
@@ -406,10 +438,8 @@ def equivalence_suite(c: Connection) -> Report:
     else:
         # Leg 1: some H makes (K, H) a full connection pair, with H read off
         # the decomposition when none is supplied.
-        if decomp is not None:
-            candidate = c if c.H is not None else replace(c, H=decomp.horizontal())
-            hor = check_horizontal(candidate)
-            pair = check_pair(candidate)
+        if chain.horizontal is not None:
+            hor, pair = chain.horizontal, chain.pair
             rep.check(*legs[0], hor.passed and pair.passed,
                       "; ".join(r.name for r in (*hor.failing(), *pair.failing())) or None)
         else:

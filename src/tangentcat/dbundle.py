@@ -14,6 +14,7 @@ coordinate selection, pairings into fibre products are assembled by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .polycore import (
@@ -41,7 +42,8 @@ class DiffBundle:
 
     ``sigma`` has the canonical fibre-square of (total, base_coords) as its
     domain; ``zeta`` maps the base into the total space; ``lift`` maps the
-    total space into its tangent space.
+    total space into its tangent space.  ``tangent`` is T of the bundle,
+    built on first use and kept by this object only.
     """
 
     total: Space
@@ -77,6 +79,10 @@ class DiffBundle:
     @property
     def q(self) -> PolyMap:
         return PolyMap.selection(self.total.dim, self.base_coords)
+
+    @cached_property
+    def tangent(self) -> "DiffBundle":
+        return tangent_of_bundle(self)
 
 
 def tangent_bundle(s: Space) -> DiffBundle:

@@ -170,14 +170,6 @@ class Polynomial:
                 raise ShapeError("substitution arguments have mixed arities")
         return _substitute_all((self,), args, new_arity)[0]
 
-    def used_variables(self) -> set[int]:
-        used: set[int] = set()
-        for exps, _ in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        return used
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -264,28 +256,11 @@ class PolyMap:
         return PolyMap(domain_dim, tuple(Polynomial.variable(domain_dim, i) for i in indices))
 
     @staticmethod
-    def constant(domain_dim: int, values: Sequence[Fraction | int]) -> "PolyMap":
-        return PolyMap(domain_dim, tuple(Polynomial.constant(domain_dim, v) for v in values))
-
-    @staticmethod
     def from_components(domain_dim: int, components: Iterable[Polynomial]) -> "PolyMap":
         return PolyMap(domain_dim, tuple(components))
 
     def max_degree(self) -> int:
         return max((c.total_degree() for c in self.components), default=0)
-
-
-def concat(maps: Sequence[PolyMap]) -> PolyMap:
-    """Stack outputs of maps sharing a common domain."""
-    if not maps:
-        raise ShapeError("concat of no maps")
-    dom = maps[0].domain_dim
-    comps: list[Polynomial] = []
-    for m in maps:
-        if m.domain_dim != dom:
-            raise ShapeError("concat over mixed domains")
-        comps.extend(m.components)
-    return PolyMap(dom, tuple(comps))
 
 
 def compose(g: PolyMap, f: PolyMap) -> PolyMap:

@@ -307,10 +307,17 @@ def test_decompose_bad_point_exits_1(tmp_path, capsys):
 
 
 def test_verify_checks_vertical_and_effectiveness_once(tmp_path, monkeypatch, capsys):
-    import tangentcat.cli as cli
-    import tangentcat.connection as connection
+    import sys
 
-    calls = {"check_vertical": 0, "check_effective": 0}
+    import tangentcat.connection as connection
+    import tangentcat.dbundle as dbundle
+
+    originals = {
+        "check_vertical": connection.check_vertical,
+        "_effectiveness": connection._effectiveness,
+        "tangent_of_bundle": dbundle.tangent_of_bundle,
+    }
+    calls = {name: 0 for name in originals}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -319,15 +326,19 @@ def test_verify_checks_vertical_and_effectiveness_once(tmp_path, monkeypatch, ca
 
         return wrapper
 
-    # cli binds the names at import time, so both modules get the counter
-    for name in calls:
-        wrapper = counted(name, getattr(connection, name))
-        monkeypatch.setattr(connection, name, wrapper)
-        monkeypatch.setattr(cli, name, wrapper)
-    c = canonical_connection(1)
-    path = write_connection(tmp_path, Connection(bundle=c.bundle, K=c.K))
-    assert main(["verify", path]) == 0
-    assert calls == {"check_vertical": 1, "check_effective": 1}
+    # every module that bound one of these names gets the counter
+    for name, fn in originals.items():
+        wrapper = counted(name, fn)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("tangentcat") and vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, wrapper)
+    # two documents written separately: nothing built for the first may
+    # serve the second
+    for i, c in enumerate((canonical_connection(1), christoffel_linear())):
+        path = write_connection(tmp_path, Connection(bundle=c.bundle, K=c.K), f"conn{i}.json")
+        assert main(["verify", path]) == 0
+        assert calls == {name: i + 1 for name in calls}
+    capsys.readouterr()
 
 
 # --------------------------------------------------------------------- demo

@@ -1,5 +1,6 @@
 """Differential-bundle axioms, constructions, and morphism checks."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,17 @@ def test_tangent_of_bundle_verifies():
     assert verify_bundle(tb).verdict is Status.PASS
     tv = tangent_of_bundle(trivial_bundle(Space.euclidean(1), 2))
     assert verify_bundle(tv).verdict is Status.PASS
+
+
+def test_tangent_is_built_once_per_bundle():
+    b = trivial_bundle(Space.euclidean(1), 2)
+    t = b.tangent
+    assert bundle_difference(t, tangent_of_bundle(b)) is None
+    assert b.tangent is t
+    other = replace(b)
+    assert other == b
+    assert other.tangent is not t
+    assert bundle_difference(other.tangent, t) is None
 
 
 def test_corrupted_lift_fails_named_axiom():

@@ -13,7 +13,6 @@ from tangentcat.polycore import (
     ShapeError,
     compose,
     compose_all,
-    concat,
     eval_map,
     first_difference,
     invert_polymap,
@@ -139,8 +138,6 @@ def test_concat_and_selection():
     f = PolyMap.selection(3, [2, 0])
     assert selection_indices(f) == (2, 0)
     assert selection_indices(PolyMap.from_components(1, [v(1, 0) + v(1, 0)])) is None
-    g = concat([PolyMap.identity(2), PolyMap.constant(2, [7])])
-    assert eval_map(g, [1, 2]) == (1, 2, 7)
 
 
 def test_pair_into_reassembles_from_projections():
