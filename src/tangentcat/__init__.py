@@ -7,7 +7,6 @@ from .tangent import (
     T_map,
     T_obj,
     add_plus,
-    check_tangent_axioms,
     flip_c,
     lift_l,
     proj_p,
@@ -15,6 +14,7 @@ from .tangent import (
 )
 from .dbundle import (
     DiffBundle,
+    check_tangent_axioms,
     linear_morphism_report,
     mu_map,
     tangent_bundle,
@@ -24,7 +24,6 @@ from .dbundle import (
 )
 from .whitney import (
     BiproductBundle,
-    PartialBundle,
     Recognition,
     biproduct,
     biproduct_laws,

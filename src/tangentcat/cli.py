@@ -16,8 +16,8 @@ from typing import Optional
 
 from .polycore import Polynomial, ShapeError
 from .report import Report, Status
-from .tangent import Space, check_tangent_axioms
-from .dbundle import verify_bundle
+from .tangent import Space
+from .dbundle import check_tangent_axioms, verify_bundle
 from .connection import (
     Connection,
     canonical_connection,

@@ -169,7 +169,7 @@ def check_horizontal(c: Connection) -> Report:
             "over the total space",
             c.H,
             PolyMap.identity(b.total.dim),
-            partial_bundle(sources, 0).bundle,
+            partial_bundle(sources, 0),
             tangent_bundle(b.total),
         ),
         prefix="linearity over the total space: ",
@@ -179,7 +179,7 @@ def check_horizontal(c: Connection) -> Report:
             "over the tangent base",
             c.H,
             PolyMap.identity(2 * b.base.dim),
-            partial_bundle(sources, 1).bundle,
+            partial_bundle(sources, 1),
             b.tangent,
         ),
         prefix="linearity over the tangent base: ",
@@ -256,8 +256,8 @@ def _effectiveness(c: Connection, vert: Report) -> _Effectiveness:
             want,
         )
     rep.extend(injections)
-    first = partial_bundle(recog.biproduct, 0).bundle
-    second = partial_bundle(recog.biproduct, 1).bundle
+    first = partial_bundle(recog.biproduct, 0)
+    second = partial_bundle(recog.biproduct, 1)
     d1 = bundle_difference(first, tangent_bundle(b.total))
     rep.check(
         "first partial bundle",

@@ -3,8 +3,9 @@
 The tangent functor T doubles a space and sends a map f to its symbolic total
 derivative T(f)(x, t) = (f(x), J_f(x) t).  The structural maps p (projection),
 0 (zero section), + (fibrewise addition), l (vertical lift), and c (canonical
-flip) are all coordinate-level polynomial maps, and ``check_tangent_axioms``
-verifies the defining equations between them as exact polynomial identities.
+flip) are all coordinate-level polynomial maps.  The equations between them
+are verified by ``dbundle.check_tangent_axioms``, since two of them say that
+(l, 0) and (c, 1) are additive bundle morphisms.
 
 Coordinate convention: base point leftmost.  TM has layout (x, t), T^2 M has
 layout (x, t, u, v) with each block the size of M, and the fibre power T_k M
@@ -17,19 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import (
-    PolyMap,
-    Polynomial,
-    ShapeError,
-    compose,
-    compose_all,
-    pair_into,
-    power_dim,
-    power_pair,
-    power_proj,
-    _sorted_terms,
-)
-from .report import Report
+from .polycore import PolyMap, Polynomial, ShapeError, _sorted_terms
 
 _NAME_POOL = "tuvwabcdefghijklmnopqrsyz"
 
@@ -149,75 +138,3 @@ def flip_c(s: Space) -> PolyMap:
         + list(range(3 * n, 4 * n))
     )
     return PolyMap.selection(dom, order)
-
-
-def check_tangent_axioms(s: Space) -> Report:
-    """Verify the tangent-structure equations for one space, exactly."""
-    rep = Report(subject=f"tangent structure on R^{s.dim}")
-    tm = T_obj(s)
-    c = flip_c(s)
-    l = lift_l(s)
-
-    rep.check_equal("flip involution", "cc = 1", compose(c, c), PolyMap.identity(4 * s.dim))
-    rep.check_equal("lift fixed by flip", "lc = l", compose(l, c), l)
-    rep.check_equal(
-        "lift coassociativity",
-        "l T(l) = l l_T",
-        compose(l, T_map(l)),
-        compose(l, lift_l(tm)),
-    )
-    rep.check_equal(
-        "flip braid relation",
-        "T(c) c_T T(c) = c_T T(c) c_T",
-        compose_all(T_map(c), flip_c(tm), T_map(c)),
-        compose_all(flip_c(tm), T_map(c), flip_c(tm)),
-    )
-    rep.check_equal(
-        "lift/flip exchange",
-        "l_T T(c) c_T = c T(l)",
-        compose_all(lift_l(tm), T_map(c), flip_c(tm)),
-        compose_all(c, T_map(l)),
-    )
-
-    # (l, 0): the lift with the zero section is a morphism of additive bundles
-    # from (TM, p, +, 0) over M to (T^2 M, T(p), T(+), T(0)) over TM.
-    sub = Report(subject="(l, 0) additivity")
-    sub.check_equal(
-        "base square", "p 0 = l T(p)", compose(proj_p(s), zero_0(s)), compose(l, T_map(proj_p(s)))
-    )
-    sub.check_equal(
-        "zero preservation", "0 l = 0 T(0)", compose(zero_0(s), l), compose(zero_0(s), T_map(zero_0(s)))
-    )
-    # T_2 M is the fibre square of the tangent bundle (TM over M).
-    p1, p2 = (power_proj(tm.dim, range(s.dim), 2, i) for i in (1, 2))
-    l_times_l = pair_into(
-        2 * power_dim(tm.dim, range(s.dim), 2),
-        [T_map(p1), T_map(p2)],
-        [compose(p1, l), compose(p2, l)],
-    )
-    sub.check_equal(
-        "addition preservation",
-        "+ l = (l x l) T(+)",
-        compose(add_plus(s), l),
-        compose(l_times_l, T_map(add_plus(s))),
-    )
-    rep.summary("(l, 0) additive-bundle morphism", "monoid morphism over the zero section", sub)
-
-    # (c, 1): the flip is a morphism of additive bundles from
-    # (T^2 M, T(p), T(+), T(0)) over TM to (T^2 M, p_TM, +_TM, 0_TM) over TM.
-    sub = Report(subject="(c, 1) additivity")
-    sub.check_equal("base square", "T(p) = c p_TM", T_map(proj_p(s)), compose(c, proj_p(tm)))
-    sub.check_equal(
-        "zero preservation", "T(0) c = 0_TM", compose(T_map(zero_0(s)), c), zero_0(tm)
-    )
-    c_times_c = power_pair(
-        2 * tm.dim, range(tm.dim), [compose(T_map(p1), c), compose(T_map(p2), c)]
-    )
-    sub.check_equal(
-        "addition preservation",
-        "T(+) c = (c x c) +_TM",
-        compose(T_map(add_plus(s)), c),
-        compose(c_times_c, add_plus(tm)),
-    )
-    rep.summary("(c, 1) additive-bundle morphism", "monoid morphism over the identity", sub)
-    return rep

@@ -99,14 +99,6 @@ class BiproductBundle:
     from_canonical: PolyMap
 
 
-@dataclass(frozen=True)
-class PartialBundle:
-    """The bundle structure on a sum's total space over its j-th summand."""
-
-    bundle: DiffBundle
-    index: int
-
-
 def _section(summands: Sequence[DiffBundle], m: int, fixed: Optional[int] = None) -> PolyMap:
     """The zero section of the concatenated model, or its ``fixed``-th injection.
 
@@ -319,17 +311,15 @@ def recognize_biproduct(
     return Recognition(rep, bp if rep.passed else None)
 
 
-def partial_bundle(bp: BiproductBundle, j: int) -> PartialBundle:
-    """The structure over the j-th summand that fixes its block and adds the rest."""
+def partial_bundle(bp: BiproductBundle, j: int) -> DiffBundle:
+    """The j-th partial bundle: over that summand, it fixes its block and adds the rest."""
     if not 0 <= j < len(bp.summands):
         raise ShapeError(f"partial-bundle index {j} out of range")
     canon = _concatenated(bp.summands, bp.sum.base, fixed=j)
     if selection_indices(bp.to_canonical) == tuple(range(bp.sum.total.dim)):
         # the presented sum is the model itself: only the layout names differ
-        bundle = replace(canon, total=bp.sum.total)
-    else:
-        bundle = transport_bundle(canon, bp.to_canonical, bp.from_canonical, bp.sum.total)
-    return PartialBundle(bundle=bundle, index=j)
+        return replace(canon, total=bp.sum.total)
+    return transport_bundle(canon, bp.to_canonical, bp.from_canonical, bp.sum.total)
 
 
 def partial_add(f: PolyMap, g: PolyMap, bp: BiproductBundle, j: int) -> PolyMap:
@@ -340,7 +330,6 @@ def partial_add(f: PolyMap, g: PolyMap, bp: BiproductBundle, j: int) -> PolyMap:
     diff = first_difference(fj, gj)
     if diff is not None:
         raise ShapeError(f"operands disagree on the fixed block: {diff}")
-    pb = partial_bundle(bp, j)
-    b = pb.bundle
+    b = partial_bundle(bp, j)
     return compose(power_pair(b.total.dim, b.base_coords, [f, g]), b.sigma)
 

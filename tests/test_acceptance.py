@@ -13,9 +13,10 @@ from itertools import permutations
 from tangentcat import serialize
 from tangentcat.polycore import Polynomial, PolyMap, compose, eval_map, map_equal
 from tangentcat.report import Status
-from tangentcat.tangent import Space, check_tangent_axioms
+from tangentcat.tangent import Space
 from tangentcat.dbundle import (
     bundle_difference,
+    check_tangent_axioms,
     tangent_bundle,
     tangent_of_bundle,
     trivial_bundle,
@@ -192,8 +193,8 @@ def test_criterion_6_partial_bundles_of_decompositions():
         ok = ok and decomp is not None
         if decomp is None:
             continue
-        first = partial_bundle(decomp.biproduct, 0).bundle
-        second = partial_bundle(decomp.biproduct, 1).bundle
+        first = partial_bundle(decomp.biproduct, 0)
+        second = partial_bundle(decomp.biproduct, 1)
         ok = ok and bundle_difference(first, tangent_bundle(c.bundle.total)) is None
         ok = ok and bundle_difference(second, tangent_of_bundle(c.bundle)) is None
     _verdict(6, ok)

@@ -178,13 +178,13 @@ def test_partial_bundle_bytes_are_pinned():
     # decomposition of a seeded Christoffel connection, pinned byte for byte.
     tm = tangent_bundle(Space.euclidean(1))
     bp = biproduct([tm, trivial_bundle(Space.euclidean(1), 2), tm])
-    assert [_digest(partial_bundle(bp, j).bundle) for j in range(3)] == [
+    assert [_digest(partial_bundle(bp, j)) for j in range(3)] == [
         "a94d3423f7e6c4f9394ab7cc4f49701b5fd9ae90ee2163695d71146239335ed5",
         "a68de13ef328bcb53613af4fb7e116b2e6589a9d89b24bb556a2495c97db7254",
         "4b0ade4fcb8e1bfd0e6adbeabcd7e576782dd523452a1852199cd6c537279876",
     ]
     _, decomp = check_effective(random_christoffel(2, random.Random(3)))
-    assert [_digest(partial_bundle(decomp.biproduct, j).bundle) for j in range(2)] == [
+    assert [_digest(partial_bundle(decomp.biproduct, j)) for j in range(2)] == [
         "8b085302a17c3793783d7207a0c1795d08ae4141112ca21a88bf8b5886a9dc0c",
         "b77af603516342eddc0823e66493899f4060494c7182a135347f1b4cf86d100c",
     ]

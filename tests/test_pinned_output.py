@@ -1,8 +1,11 @@
-"""Output bytes of the connection checks, pinned by sha256 digest.
+"""Output bytes of the connection and bundle checks, pinned by sha256 digest.
 
-The digests were computed before the checkers started sharing their
-intermediate results (the vertical report, the inverse pairing and the
-derived H), so any change to a verdict, a record or its order shows here.
+The connection digests were computed before the checkers started sharing
+their intermediate results (the vertical report, the inverse pairing and the
+derived H); the ``verify --kind bundle`` and ``demo tangent-axioms`` digests
+before axioms 2 and 3 and the tangent structure's (l, 0) and (c, 1) records
+shared one additive-morphism check.  Any change to a verdict, a record or
+its order shows here.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ from tangentcat.connection import (
     christoffel_connection,
     equivalence_suite,
 )
-from tangentcat.dbundle import tangent_bundle
+from tangentcat.dbundle import tangent_bundle, trivial_bundle
 from tangentcat.polycore import Polynomial, PolyMap
 from tangentcat.tangent import Space
 
@@ -120,3 +123,66 @@ def test_equivalence_suite_bytes_are_pinned():
         "6a13cd282064d8e308dd4c6b269cf06a462ab88e319043c46dcfde492055024b",
         "8402c58fc4669a257e55671a11d49946c4a70903830e411cc53103a9188dc6d8",
     ]
+
+
+def _trivial_mutant(field, slot, value):
+    """The trivial bundle over R on (x, w) with one component of a map replaced.
+
+    sigma is defined on (x, w1, w2), zeta on (x) and lambda on (x, w); value
+    receives the domain's variables.
+    """
+    doc = serialize.bundle_to_json(trivial_bundle(Space.euclidean(1), 1))
+    arity = doc[field]["dom"]
+    doc[field]["components"][slot] = serialize.poly_to_json(value([x(arity, i) for i in range(arity)]))
+    return doc
+
+
+BUNDLE_CASES = {
+    "tangent-bundle-R2": (
+        lambda: serialize.bundle_to_json(tangent_bundle(Space.euclidean(2))), 0,
+        "b2d0090c4611e1ba72075b37b53b2c99d36a93b333f2ac2ecb22eeff5626afcb",
+    ),
+    "sigma-w1+w1w2": (
+        lambda: _trivial_mutant("sigma", 1, lambda v: v[1] + v[2] + v[1] * v[2]), 2,
+        "19ff2e7da03e3575939d3ba848390959ba1a910d5aadd4565c133ea5ce9069ed",
+    ),
+    "zeta-w=x": (
+        lambda: _trivial_mutant("zeta", 1, lambda v: v[0]), 2,
+        "deaec5151ace53ca5053f17272caccff0aaa04aaccbbcc6d95f36862aa0b9753",
+    ),
+    "lambda-dw=w+xw": (
+        lambda: _trivial_mutant("lambda", 3, lambda v: v[1] + v[0] * v[1]), 2,
+        "e3e21089f3b86f20f6feb3221acaacb9bd6465b552812060397ca26224bcb997",
+    ),
+    # lambda moves the base point: the axiom-4 witness names the coordinate
+    # of the pairing that cannot be formed
+    "lambda-x=x+w": (
+        lambda: _trivial_mutant("lambda", 0, lambda v: v[0] + v[1]), 2,
+        "f5edcb801013a4c645ae464f3443b06fb74fb19e77e4c4a5b5a2ce307a779aba",
+    ),
+    "lambda-dx=w": (
+        lambda: _trivial_mutant("lambda", 2, lambda v: v[1]), 2,
+        "8f6494ac943e537c0d00eb4df3619a465c1f55b29e1ab1270419d83e2f3984e5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUNDLE_CASES))
+def test_verify_bundle_json_bytes_are_pinned(case, tmp_path, capsys):
+    build, code, digest = BUNDLE_CASES[case]
+    path = tmp_path / "bundle.json"
+    path.write_text(serialize.dumps(build()))
+    assert main(["--format", "json", "verify", "--kind", "bundle", str(path)]) == code
+    assert _sha(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "d97be60aabcf3046f14ec4868a83f5d89ed50655d29fa8f824b7a57fb05f14e2"),
+        ("json", "9515fb6f75612fb8344816608cb18526ff6b093a2af35bfecfd28c4861f91297"),
+    ],
+)
+def test_tangent_axioms_demo_bytes_are_pinned(fmt, digest, capsys):
+    assert main(["--format", fmt, "demo", "tangent-axioms"]) == 0
+    assert _sha(capsys.readouterr().out) == digest

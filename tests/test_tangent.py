@@ -8,12 +8,12 @@ from tangentcat.tangent import (
     T_map,
     T_obj,
     add_plus,
-    check_tangent_axioms,
     flip_c,
     lift_l,
     proj_p,
     zero_0,
 )
+from tangentcat.dbundle import check_tangent_axioms
 from tangentcat.report import Status
 
 from conftest import polymaps

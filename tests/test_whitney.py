@@ -247,9 +247,9 @@ def test_partial_bundles_verify_and_match_injections(summands):
     bp = biproduct(summands)
     for j in range(len(summands)):
         pb = partial_bundle(bp, j)
-        assert verify_bundle(pb.bundle).verdict is Status.PASS
-        assert map_equal(pb.bundle.zeta, bp.injections[j])
-        assert map_equal(pb.bundle.q, bp.projections[j])
+        assert verify_bundle(pb).verdict is Status.PASS
+        assert map_equal(pb.zeta, bp.injections[j])
+        assert map_equal(pb.q, bp.projections[j])
 
 
 def test_partials_of_a_permuted_presentation():
@@ -261,19 +261,19 @@ def test_partials_of_a_permuted_presentation():
     assert rec.biproduct is not None
     for j in range(2):
         pb = partial_bundle(rec.biproduct, j)
-        assert map_equal(pb.bundle.q, rec.biproduct.projections[j])
-        assert map_equal(pb.bundle.zeta, rec.biproduct.injections[j])
-        assert verify_bundle(pb.bundle).verdict is Status.PASS
+        assert map_equal(pb.q, rec.biproduct.projections[j])
+        assert map_equal(pb.zeta, rec.biproduct.injections[j])
+        assert verify_bundle(pb).verdict is Status.PASS
 
 
 def test_first_partial_of_double_tangent():
     tm = tangent_bundle(Space.euclidean(1))
     bp = biproduct([tm, tm])
     pb = partial_bundle(bp, 0)
-    assert pb.bundle.base.dim == 2
-    assert pb.bundle.base_coords == (0, 1)
+    assert pb.base.dim == 2
+    assert pb.base_coords == (0, 1)
     # addition acts on the second block only
-    assert pb.bundle.sigma == PolyMap.from_components(
+    assert pb.sigma == PolyMap.from_components(
         4, [x(4, 0), x(4, 1), x(4, 2) + x(4, 3)]
     )
 
@@ -282,8 +282,8 @@ def test_single_summand_partial_is_identity_like():
     tm = tangent_bundle(Space.euclidean(1))
     bp = biproduct([tm])
     pb = partial_bundle(bp, 0)
-    assert pb.bundle.fibre_dim == 0
-    assert verify_bundle(pb.bundle).verdict is Status.PASS
+    assert pb.fibre_dim == 0
+    assert verify_bundle(pb).verdict is Status.PASS
 
 
 def test_partial_index_out_of_range():
