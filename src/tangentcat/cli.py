@@ -56,14 +56,26 @@ def _max_degree_limit(flag: Optional[int]) -> int:
     return DEFAULT_MAX_DEGREE
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are distinct; a repeated key is rejected, not overwritten."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SerializationError(f"duplicated key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SerializationError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SerializationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except SerializationError as exc:
+        raise SerializationError(f"{path}: {exc}") from exc
 
 
 def _read(args, kind: str = "connection"):

@@ -14,9 +14,10 @@ Composition is written diagrammatically throughout: ``compose(g, f)`` means
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import chain, takewhile
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -451,14 +452,29 @@ def _gauss_jordan(rows: list[dict[int, Fraction]]) -> tuple[Fraction, Optional[l
     return det, [{k - n: v for k, v in row.items() if k >= n} for row in aug]
 
 
+# Points at which ``_det_witness`` samples det J after its three fixed ones.
+_DET_SAMPLES = 3
+
+
 def _det_witness(f: PolyMap) -> Optional[str]:
-    """det J_f vanishing at, or differing between, fixed rational points.
+    """det J_f vanishing at, or differing between, rational points.
 
     An inverse g gives J_g(f(x)) J_f(x) = I, so the Jacobian determinant of
-    a polynomial automorphism is a nonzero constant.
+    a polynomial automorphism is a nonzero constant.  Three fixed points
+    come first.  In three or more variables ``_DET_SAMPLES`` points drawn
+    from a generator seeded by f's canonical form follow, so a map whose
+    det J agrees at the fixed points is caught before a long expansion, and
+    one map always meets the same points.  In fewer variables the
+    Bass-Connell-Wright bound (deg f)^(n-1) is at most deg f: the expansion
+    has ended when det J is sampled, and the bound refutes at once.
     """
     n, jac, first = f.domain_dim, jacobian(f), None
-    for point in ((0,) * n, range(1, n + 1), [Fraction(-1, i + 2) for i in range(n)]):
+    rng = random.Random(repr(f))
+    seeded = (
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        for _ in range(_DET_SAMPLES if n > 2 else 0)
+    )
+    for point in chain(((0,) * n, range(1, n + 1), [Fraction(-1, i + 2) for i in range(n)]), seeded):
         point = [Fraction(v) for v in point]
         det = _gauss_jordan([{j: v for j, e in enumerate(r) if (v := e.evaluate(point))} for r in jac])[0]
         where = "(" + ", ".join(map(str, point)) + ")"
@@ -510,7 +526,7 @@ def invert_polymap(f: PolyMap) -> PolyMap:
 
     Raises ``NotInvertible`` with an exact witness when f has no inverse:
     f is not square, J_f(0) is singular, det J_f vanishes or differs at
-    fixed rational points, or no inverse exists within the
+    sampled rational points, or no inverse exists within the
     Bass-Connell-Wright bound.  When the budget is below that bound and
     runs out, the witness names the budget and ``budget`` is set.
     """

@@ -1,5 +1,6 @@
 """Ring laws, composition coherence, and solver behavior for the polynomial core."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,29 @@ def test_invert_refutes_by_the_degree_bound():
     with pytest.raises(NotInvertible, match="Bass-Connell-Wright") as info:
         invert_polymap(f)
     assert not info.value.budget
+
+
+def test_invert_refutes_by_a_seeded_det_sample():
+    # f = A, then g = (y0, y1, y2, y3 + y3 l1 l2), then A^-1, so det J_f(x) is
+    # 1 + l1 l2 at A x.  l1 and l2 vanish at A applied to the fixed points
+    # (1, 2, 3, 4) and (-1/2, -1/3, -1/4, -1/5), so det J is 1 at all three
+    # fixed points; only the seeded points refute f before the expansion
+    # runs to the Bass-Connell-Wright bound 27, which takes minutes.
+    n = 4
+    y = [v(n, i) for i in range(n)]
+    rows = [(1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 2)]
+    a = PolyMap(n, tuple(sum((y[j].scale(c) for j, c in enumerate(r) if c), Polynomial.zero(n)) for r in rows))
+    fixed = ((1, 2, 3, 4), tuple(Fraction(-1, i + 2) for i in range(n)))
+    l1, l2 = (y[0].scale(q[1]) - y[1].scale(q[0]) for q in (eval_map(a, p) for p in fixed))
+    g = PolyMap(n, (y[0], y[1], y[2], y[3] + y[3] * l1 * l2))
+    f = compose_all(a, g, invert_polymap(a))
+    start = time.perf_counter()
+    with pytest.raises(NotInvertible) as info:
+        invert_polymap(f)
+    assert time.perf_counter() - start < 1
+    witness = info.value.witness
+    assert witness.startswith("det J is 1 at (0, 0, 0, 0) but ") and not info.value.budget
+    assert not witness.endswith(tuple("(" + ", ".join(map(str, p)) + ")" for p in fixed))
 
 
 def test_no_inverse_fails_a_refutation_and_cannot_certify_the_budget():

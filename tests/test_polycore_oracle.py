@@ -170,6 +170,21 @@ def test_T_map_matches_its_definition(f):
         assert same(tf.components[3 + i], tangent)
 
 
+@settings(max_examples=40, deadline=None)
+@given(polymaps(2, 2, max_degree=2), polymaps(2, 2, max_degree=3))
+def test_T_map_is_a_functor(f, g):
+    # T(f ; g) = T(f) ; T(g) exactly: the records that T of a passed
+    # identity or of a certified inverse would recompute rest on this.
+    tfg = T_map(compose(f, g))
+    assert tfg == compose(T_map(f), T_map(g))
+    assert_canonical_map(tfg)
+    x, t = X[:2], X[2:]
+    for i, expr in enumerate(_compose_expr(f, g)):
+        expr = expr.xreplace(dict(zip(Y, x)))
+        assert same(tfg.components[i], expr)
+        assert same(tfg.components[2 + i], sum(sympy.diff(expr, x[j]) * t[j] for j in range(2)))
+
+
 @st.composite
 def conjugated_shears(draw, n):
     """B, then a unitriangular polynomial shear U, then A, plus a constant:

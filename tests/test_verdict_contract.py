@@ -149,23 +149,27 @@ def _paths(node, prefix=()):
 
 
 def _render(node, duplicate):
-    """JSON text of ``node``; the object at path ``duplicate`` lists its first key
-    twice, first with the value null."""
+    """JSON text of ``node``, and the key listed twice, if any: the object at
+    path ``duplicate`` lists its first key twice, first with the value null."""
+    repeated = []
+
     def walk(v, path):
         if isinstance(v, dict):
             parts = [f"{json.dumps(k)}: {walk(x, path + (k,))}" for k, x in v.items()]
             if path == duplicate and v:
-                parts.insert(0, f"{json.dumps(next(iter(v)))}: null")
+                repeated.append(next(iter(v)))
+                parts.insert(0, f"{json.dumps(repeated[0])}: null")
             return "{" + ", ".join(parts) + "}"
         if isinstance(v, list):
             return "[" + ", ".join(walk(x, path + (i,)) for i, x in enumerate(v)) + "]"
         return json.dumps(v)
 
-    return walk(node, ())
+    return walk(node, ()), (repeated or [None])[0]
 
 
 @st.composite
 def broken_documents(draw, kind):
+    """A document broken by one to three edits, and the key it lists twice, if any."""
     doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCUMENTS[kind])))
     duplicate = None
     for _ in range(draw(st.integers(1, 3))):
@@ -191,6 +195,9 @@ def broken_documents(draw, kind):
 @given(data=st.data())
 def test_broken_documents_keep_the_exit_contract(command, data):
     kind = "bundle" if command == "verify-bundle" else "connection"
-    code, _, err = _run(data.draw(broken_documents(kind)), command)
+    text, repeated = data.draw(broken_documents(kind))
+    code, _, err = _run(text, command)
     assert code in (0, 1, 2, 3)
     assert err.startswith("error: ") if code == 1 else err == ""
+    if repeated is not None:
+        assert code == 1 and f"duplicated key {json.dumps(repeated)}" in err
