@@ -44,18 +44,6 @@ class DegreeError(ValueError):
     """An input exceeds the symbolic-expansion degree guard."""
 
 
-def _max_degree_limit(flag: Optional[int]) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("TANGENTCAT_MAX_DEGREE")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise DegreeError(f"TANGENTCAT_MAX_DEGREE is not an integer: {env!r}") from exc
-    return DEFAULT_MAX_DEGREE
-
-
 def _unique_keys(pairs: list) -> dict:
     """A JSON object whose keys are distinct; a repeated key is rejected, not overwritten."""
     obj: dict = {}
@@ -80,7 +68,6 @@ def _load_json(path: str):
 
 def _read(args, kind: str = "connection"):
     """Read, parse and degree-guard the bundle or connection document at ``args.path``."""
-    limit = _max_degree_limit(args.max_degree)
     doc = _load_json(args.path)
     if kind == "bundle":
         parsed = serialize.bundle_from_json(doc)
@@ -90,9 +77,9 @@ def _read(args, kind: str = "connection"):
         b = parsed.bundle
         maps = [b.sigma, b.zeta, b.lift, parsed.K] + ([] if parsed.H is None else [parsed.H])
     worst = max(m.max_degree() for m in maps)
-    if worst > limit:
+    if worst > args.max_degree:
         raise DegreeError(
-            f"input degree {worst} exceeds the guard ({limit}); raise --max-degree to proceed"
+            f"input degree {worst} exceeds the guard ({args.max_degree}); raise --max-degree to proceed"
         )
     return parsed
 
@@ -148,7 +135,7 @@ def _sidecar(path: str, tag: str) -> str:
 def cmd_derive_h(args) -> int:
     c = _read(args)
     try:
-        full = derive_horizontal(Connection(bundle=c.bundle, K=c.K, gamma=c.gamma))
+        full = derive_horizontal(Connection(bundle=c.bundle, K=c.K))
     except ShapeError as exc:
         report = Report(subject="horizontal derivation")
         report.check("derivation", "an effective vertical map determines H", False, str(exc))
@@ -233,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-degree",
         type=int,
-        default=None,
-        help="reject inputs whose maps exceed this total degree (default 8; "
-        "env TANGENTCAT_MAX_DEGREE overrides)",
+        default=DEFAULT_MAX_DEGREE,
+        help="reject inputs whose maps exceed this total degree (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -61,16 +61,14 @@ from .whitney import (
 class Connection:
     """A bundle with a vertical map K and optionally a horizontal map H.
 
-    ``gamma``, when present, is the cubic coefficient table of a Christoffel
-    presentation: ``gamma[k][i][j]`` is a polynomial in the base variables,
-    and K adds ``sum_ij gamma[k][i][j](x) t_i u_j`` to the k-th last-block
-    coordinate.
+    K alone determines the connection: an effective K determines H (see
+    ``derive_horizontal``), and on a tangent bundle the Christoffel symbols
+    are the coordinates of K, so no coefficient table is kept beside it.
     """
 
     bundle: DiffBundle
     K: PolyMap
     H: Optional[PolyMap] = None
-    gamma: Optional[tuple[tuple[tuple[Polynomial, ...], ...], ...]] = None
 
     def __post_init__(self) -> None:
         e, m = self.bundle.total.dim, self.bundle.base.dim
@@ -365,7 +363,7 @@ def christoffel_connection(
                     dom, n + i
                 ) * Polynomial.variable(dom, 2 * n + j)
         comps.append(acc)
-    return Connection(bundle=b, K=PolyMap(dom, tuple(comps)), gamma=table)
+    return Connection(bundle=b, K=PolyMap(dom, tuple(comps)))
 
 
 def canonical_connection(n: int) -> Connection:
@@ -379,9 +377,7 @@ def canonical_connection(n: int) -> Connection:
         tuple(Polynomial.variable(hat, i) for i in range(hat))
         + tuple(Polynomial.zero(hat) for _ in range(n)),
     )
-    zero = Polynomial.zero(n)
-    gamma = tuple(tuple(tuple(zero for _ in range(n)) for _ in range(n)) for _ in range(n))
-    return Connection(bundle=b, K=K, H=H, gamma=gamma)
+    return Connection(bundle=b, K=K, H=H)
 
 
 def decompose_point(

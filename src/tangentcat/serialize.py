@@ -3,8 +3,10 @@
 Coefficients serialize as exact fraction strings ("3", "-3/7"); any other
 notation (decimals, exponents, whitespace) is rejected on input, and so are
 JSON booleans where a count or an index is expected; a layout block is a
-[name, positive size] pair.  All encoders are deterministic so that
-identical objects always produce identical bytes.
+[name, positive size] pair.  A connection object has ``bundle``, ``K``, an
+optional ``H`` and no other key (K encodes the Christoffel symbols, so there
+is no ``gamma``); every other object's fields are all required.  All encoders
+are deterministic so that identical objects always produce identical bytes.
 """
 
 from __future__ import annotations
@@ -164,43 +166,18 @@ def connection_to_json(c: Connection) -> dict:
     out: dict = {"bundle": bundle_to_json(c.bundle), "K": map_to_json(c.K)}
     if c.H is not None:
         out["H"] = map_to_json(c.H)
-    if c.gamma is not None:
-        out["gamma"] = [
-            [[poly_to_json(p) for p in row] for row in plane] for plane in c.gamma
-        ]
     return out
 
 
-def _cubic(table: Any, n: int, depth: int = 3) -> bool:
-    """Whether ``table`` is nested lists of length n, ``depth`` levels deep."""
-    if depth == 0:
-        return True
-    return isinstance(table, list) and len(table) == n and all(_cubic(t, n, depth - 1) for t in table)
-
-
 def connection_from_json(obj: Any, where: str = "connection") -> Connection:
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in ("bundle", "K", "H"):
+            raise SerializationError(f"{where}.{key}: not a field of a connection")
     bundle = bundle_from_json(_expect(obj, "bundle", where), f"{where}.bundle")
     k = map_from_json(_expect(obj, "K", where), f"{where}.K")
-    h = None
-    if isinstance(obj, dict) and obj.get("H") is not None:
-        h = map_from_json(obj["H"], f"{where}.H")
-    gamma = None
-    if isinstance(obj, dict) and obj.get("gamma") is not None:
-        n = bundle.base.dim
-        if not _cubic(obj["gamma"], n):
-            raise SerializationError(f"{where}.gamma: must be a cubic table of polynomials, {n} per side")
-        gamma = tuple(
-            tuple(
-                tuple(
-                    poly_from_json(p, f"{where}.gamma[{i}][{j}][{k2}]")
-                    for k2, p in enumerate(row)
-                )
-                for j, row in enumerate(plane)
-            )
-            for i, plane in enumerate(obj["gamma"])
-        )
+    h = None if obj.get("H") is None else map_from_json(obj["H"], f"{where}.H")
     try:
-        return Connection(bundle=bundle, K=k, H=h, gamma=gamma)
+        return Connection(bundle=bundle, K=k, H=h)
     except ValueError as exc:
         raise SerializationError(f"{where}: {exc}") from exc
 

@@ -88,7 +88,7 @@ def T_map(f: PolyMap) -> PolyMap:
         for e, c in comp.terms:
             for j, ej in enumerate(e):
                 if ej:
-                    acc[e[:j] + (ej - 1,) + e[j + 1 :] + t[j]] = c * ej
+                    acc[e[:j] + (ej - 1,) + e[j + 1 :] + t[j]] = c if ej == 1 else c * ej
         tangent.append(Polynomial(2 * m, _sorted_terms(acc)))
     return PolyMap(2 * m, tuple(base + tangent))
 

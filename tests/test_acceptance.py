@@ -125,7 +125,7 @@ def test_criterion_3_full_chain_on_random_instances():
     start = time.perf_counter()
     ok = True
     for c in instances():
-        bare = Connection(bundle=c.bundle, K=c.K, gamma=c.gamma)
+        bare = Connection(bundle=c.bundle, K=c.K)
         ok = ok and check_vertical(bare).verdict is Status.PASS
         eff, decomp = check_effective(bare)
         ok = ok and eff.verdict is Status.PASS and decomp is not None
@@ -204,7 +204,7 @@ def test_criterion_7_horizontal_perturbations_detected():
     rng = random.Random(1234)
     ok = True
     for c in instances()[:4]:
-        full = derive_horizontal(Connection(bundle=c.bundle, K=c.K, gamma=c.gamma))
+        full = derive_horizontal(Connection(bundle=c.bundle, K=c.K))
         ok = ok and check_horizontal(full).verdict is Status.PASS
         ok = ok and check_pair(full).verdict is Status.PASS
         e, m = c.bundle.total.dim, c.bundle.base.dim

@@ -144,6 +144,8 @@ def test_verify_missing_file_exits_1(tmp_path, capsys):
 
 
 _ZERO_1 = serialize.poly_to_json(Polynomial.zero(1))
+# A 3 -> 4 map of the shape H has on the tangent bundle of R.
+_H_3_TO_4 = serialize.map_to_json(canonical_connection(1).H)
 
 
 @pytest.mark.parametrize(
@@ -163,6 +165,8 @@ _ZERO_1 = serialize.poly_to_json(Polynomial.zero(1))
         ("connection", ["gamma"], [[5]], "connection.gamma"),
         ("connection", ["gamma"], 5, "connection.gamma"),
         ("connection", ["gamma"], [[[_ZERO_1, _ZERO_1]]], "connection.gamma"),
+        ("connection", ["gamma"], [[[_ZERO_1]]], "connection.gamma"),
+        ("connection", ["h"], _H_3_TO_4, "connection.h"),
         ("connection", ["bundle", "base", "layout"], [["x", 1.7]], "connection.bundle.base"),
         ("connection", ["bundle", "base", "layout"], [["x", True]], "connection.bundle.base"),
         ("connection", ["bundle", "base", "layout"], [["x", "1"]], "connection.bundle.base"),
@@ -174,6 +178,7 @@ _ZERO_1 = serialize.poly_to_json(Polynomial.zero(1))
     ],
     ids=["coeff-exponent", "coeff-space", "arity-bool", "terms-int", "component-arity", "exps-bool", "dom-bool",
          "cod-bool", "dim-bool", "base-coords-bool", "gamma-int-row", "gamma-int", "gamma-ragged",
+         "gamma-well-formed", "h-misspelt",
          "layout-float", "layout-bool", "layout-string-size", "layout-int-name", "exps-short", "exps-negative"],
 )
 def test_malformed_fields_exit_1_with_location(tmp_path, capsys, kind, field, value, where):
@@ -211,16 +216,6 @@ def test_degree_guard_rejects_high_degree(tmp_path, capsys):
     assert "degree" in capsys.readouterr().err
     assert main(["--max-degree", "20", "verify", path]) == 0
     capsys.readouterr()
-
-
-def test_degree_guard_env_variable(tmp_path, capsys, monkeypatch):
-    path = write_connection(tmp_path, christoffel_linear())
-    monkeypatch.setenv("TANGENTCAT_MAX_DEGREE", "1")
-    assert main(["verify", path]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("TANGENTCAT_MAX_DEGREE", "nope")
-    assert main(["verify", path]) == 1
-    assert "TANGENTCAT_MAX_DEGREE" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- derive-h

@@ -133,6 +133,8 @@ VALID_DOCUMENTS = _valid_documents()
 # Small values only: a retyped exponent or dimension must not ask for a
 # large expansion.
 RETYPED = [None, True, False, -1, 0, 1, 2, 0.5, "x", "1/2", "", [], {}, [0], {"dom": 1}]
+# A renamed key is the old key with this suffix, which no schema field has.
+RENAMED = "~"
 
 
 def _paths(node, prefix=()):
@@ -169,17 +171,28 @@ def _render(node, duplicate):
 
 @st.composite
 def broken_documents(draw, kind):
-    """A document broken by one to three edits, and the key it lists twice, if any."""
+    """A document broken by one to three edits, and the key it lists twice, if any.
+
+    An edit retypes, deletes or duplicates a value, or renames an object key.
+    The depth of its path is drawn first, so that the few top-level fields
+    are edited as often as the many monomial terms.
+    """
     doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCUMENTS[kind])))
     duplicate = None
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(doc))
-        path = draw(st.sampled_from(paths))
+        if not paths:
+            break
+        depth = draw(st.integers(1, max(len(p) for p in paths)))
+        path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        op = draw(st.sampled_from(["retype", "delete", "duplicate"]))
-        if op == "retype":
+        ops = ["retype", "delete", "duplicate"] + (["rename"] if isinstance(parent, dict) else [])
+        op = draw(st.sampled_from(ops))
+        if op == "rename":
+            parent[path[-1] + RENAMED] = parent.pop(path[-1])
+        elif op == "retype":
             parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(RETYPED)))
         elif op == "delete":
             del parent[path[-1]]
@@ -201,3 +214,5 @@ def test_broken_documents_keep_the_exit_contract(command, data):
     assert err.startswith("error: ") if code == 1 else err == ""
     if repeated is not None:
         assert code == 1 and f"duplicated key {json.dumps(repeated)}" in err
+    if any(isinstance(p[-1], str) and p[-1].endswith(RENAMED) for p in _paths(json.loads(text))):
+        assert code == 1 and err.startswith("error: ")
