@@ -32,6 +32,7 @@ from .whitney import (
     partial_add,
     partial_bundle,
     recognize_biproduct,
+    verify_sum,
 )
 from .connection import (
     Connection,

@@ -29,6 +29,7 @@ from .connection import (
     derive_horizontal,
     verify_connection,
 )
+from .whitney import verify_sum
 from . import serialize
 from .serialize import SerializationError
 
@@ -157,11 +158,10 @@ def cmd_total_bundle(args) -> int:
     if decomp is None:
         _emit(eff, args.format)
         return _exit_code(eff)
-    bundle = decomp.biproduct.sum
     report = eff
-    report.extend(verify_bundle(bundle), prefix="total bundle: ")
+    report.extend(verify_sum(decomp.biproduct), prefix="total bundle: ")
     out = _sidecar(args.path, "total")
-    _atomic_write(out, serialize.dumps(serialize.bundle_to_json(bundle)))
+    _atomic_write(out, serialize.dumps(serialize.bundle_to_json(decomp.biproduct.sum)))
     _emit(report, args.format, extra={"written": out})
     return _exit_code(report)
 
@@ -206,7 +206,7 @@ def cmd_demo(args) -> int:
     c = canonical_connection(1) if args.name == "canonical" else _demo_christoffel()
     report, decomp = verify_connection(c)
     if decomp is not None:
-        report.extend(verify_bundle(decomp.biproduct.sum), prefix="total bundle: ")
+        report.extend(verify_sum(decomp.biproduct), prefix="total bundle: ")
     _emit(report, args.format)
     return _exit_code(report)
 

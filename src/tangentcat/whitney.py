@@ -31,7 +31,7 @@ from .polycore import (
 )
 from .report import Report
 from .tangent import Space
-from .dbundle import DiffBundle, transport_bundle
+from .dbundle import DiffBundle, transport_bundle, verify_bundle
 
 
 def _fibre_part(b: DiffBundle, m: PolyMap) -> PolyMap:
@@ -97,6 +97,11 @@ class BiproductBundle:
     injections: tuple[PolyMap, ...]
     to_canonical: PolyMap
     from_canonical: PolyMap
+
+    @property
+    def is_model(self) -> bool:
+        """Whether the presented sum is the concatenated model itself."""
+        return selection_indices(self.to_canonical) == tuple(range(self.sum.total.dim))
 
 
 def _section(summands: Sequence[DiffBundle], m: int, fixed: Optional[int] = None) -> PolyMap:
@@ -310,13 +315,53 @@ def recognize_biproduct(
     return Recognition(rep, bp if rep.passed else None)
 
 
+def verify_sum(bp: BiproductBundle) -> Report:
+    """The five differential-bundle axioms of the sum, decided on its model.
+
+    The presented sum is the concatenated model C transported along the
+    comparison isomorphism psi = ``to_canonical`` over the identity of the
+    base: ``transport_bundle`` sets sigma' = kappa sigma psi^-1, zeta' =
+    zeta psi^-1 and lift' = psi lift T(psi^-1), where psi q is a selection
+    and kappa = psi x_M psi maps the fibre square onto C's.  Each axiom is
+    an equation between composites, and transport conjugates it by
+    isomorphisms, so it holds for the sum exactly when it holds for C:
+
+    - Axiom 0 (projection, section, commutativity, unit, associativity):
+      each of the sum's equations is C's, preceded by psi, kappa or the
+      cube of psi and followed by psi^-1 or nothing, since psi psi^-1 = 1
+      and the projections, the swap and the pairings commute with kappa.
+    - Axiom 1 holds for every bundle in standard position.
+    - Axioms 2 and 3: T of the sum is T(C) transported along T(psi), and
+      T(psi) T(psi^-1) = 1 by functoriality, so each additivity square is
+      C's conjugated by psi and T(psi).
+    - Axiom 4: by the naturality of the zero section, mu' = kappa mu
+      T(psi^-1), and T(psi^-1) carries the subvariety where T(q) vanishes
+      onto the one where T(q') does; so mu' is invertible there exactly
+      when mu is, with nu' = T(psi) nu kappa^-1.
+    - Axiom 5: by the naturality of l, T(psi^-1) l = l T^2(psi^-1), so
+      both sides of lift' l = lift' T(lift') are C's between psi and
+      T^2(psi^-1).
+
+    A passing report has no witnesses, so C's is the sum's, byte for byte.
+    Any other report is recomputed on the sum itself, so that its
+    witnesses name the sum's coordinates.  The one verdict that can
+    differ is axiom 4's: an inverse's degree is not invariant under
+    conjugation, so the inverter's budget can run out on mu' where it
+    does not on mu.
+    """
+    if bp.is_model:
+        return verify_bundle(bp.sum)
+    report = verify_bundle(_concatenated(bp.summands, bp.sum.base))
+    return report if report.passed else verify_bundle(bp.sum)
+
+
 def partial_bundle(bp: BiproductBundle, j: int) -> DiffBundle:
     """The j-th partial bundle: over that summand, it fixes its block and adds the rest."""
     if not 0 <= j < len(bp.summands):
         raise ShapeError(f"partial-bundle index {j} out of range")
     canon = _concatenated(bp.summands, bp.sum.base, fixed=j)
-    if selection_indices(bp.to_canonical) == tuple(range(bp.sum.total.dim)):
-        # the presented sum is the model itself: only the layout names differ
+    if bp.is_model:
+        # only the layout names differ
         return replace(canon, total=bp.sum.total)
     return transport_bundle(canon, bp.to_canonical, bp.from_canonical, bp.sum.total)
 

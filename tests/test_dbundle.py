@@ -1,5 +1,6 @@
 """Differential-bundle axioms, constructions, and morphism checks."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from tangentcat.dbundle import (
     verify_bundle,
 )
 from tangentcat.report import Status
-
+from tangentcat.whitney import biproduct
 
 
 def x(arity, i):
@@ -159,3 +160,90 @@ def test_T_of_linear_morphisms_stays_linear():
         "T(g)", T_map(g), T_map(PolyMap.identity(1)), tangent_of_bundle(b), tangent_of_bundle(b)
     ).passed
     assert map_equal(compose(zero_0(b.total), T_map(g)), compose(g, zero_0(b.total)))
+
+
+# ------------------------------------------------- transport invariance
+
+
+def _perturbed(b, rng):
+    """b with one monomial c y^2 added to one component of sigma, zeta or lift."""
+    field = rng.choice(("sigma", "zeta", "lift"))
+    m = getattr(b, field)
+    comps = list(m.components)
+    k = rng.randrange(len(comps))
+    y = x(m.domain_dim, rng.randrange(m.domain_dim))
+    comps[k] = comps[k] + (y * y).scale(rng.choice((-2, -1, Fraction(1, 2), 1, 3)))
+    return replace(b, **{field: PolyMap(m.domain_dim, tuple(comps))})
+
+
+def _fibre_shear(b, rng):
+    """A seeded psi = (x, A w + p(x)) and its inverse, over the identity of the base.
+
+    A is a constant invertible lower-triangular rational matrix and each
+    component of p is one monomial of degree 1 or 2 in the base coordinates.
+    No fibre coordinate is multiplied by a base coordinate, and p has one
+    term, because verify_bundle puts no budget on the size of the composites
+    it builds: with two terms in p, a sigma that moves the base point
+    transports to degree 8 and one verify_bundle took 17 s.
+    """
+    e, bc, fc = b.total.dim, b.base_coords, b.fibre_coords
+    f = len(fc)
+    values = (-2, -1, Fraction(1, 2), 1, 2, 3)
+    a = [[rng.choice(values) if j == i else (rng.choice((0,) + values) if j < i else 0) for j in range(f)]
+         for i in range(f)]
+    a_inv = [[Fraction(0)] * f for _ in range(f)]
+    for col in range(f):  # forward substitution on A z = e_col
+        for i in range(f):
+            rest = sum(a[i][j] * a_inv[j][col] for j in range(i))
+            a_inv[i][col] = (Fraction(int(i == col)) - rest) / a[i][i]
+    xs = [x(e, i) for i in bc]
+    monomials = xs + [u * v for i, u in enumerate(xs) for v in xs[i:]]
+    shift = [rng.choice(monomials).scale(rng.choice(values)) for _ in range(f)]
+    w = [x(e, p) for p in fc]
+    psi, psi_inv = [x(e, i) for i in range(e)], [x(e, i) for i in range(e)]
+    for i, p in enumerate(fc):
+        psi[p] = sum((w[j].scale(a[i][j]) for j in range(f)), shift[i])
+        psi_inv[p] = sum(
+            ((w[j] - shift[j]).scale(a_inv[i][j]) for j in range(f)), Polynomial.zero(e)
+        )
+    return PolyMap(e, tuple(psi)), PolyMap(e, tuple(psi_inv))
+
+
+TRANSPORT_MODELS = {
+    "TR": lambda: tangent_bundle(Space.euclidean(1)),
+    "TR2": lambda: tangent_bundle(Space.euclidean(2)),
+    "R x R": lambda: trivial_bundle(Space.euclidean(1), 1),
+    "R2 x R2": lambda: trivial_bundle(Space.euclidean(2), 2),
+    "T(TR)": lambda: tangent_of_bundle(tangent_bundle(Space.euclidean(1))),
+    "TR + R x R": lambda: biproduct(
+        [tangent_bundle(Space.euclidean(1)), trivial_bundle(Space.euclidean(1), 1)]
+    ).sum,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_MODELS))
+def test_transport_preserves_and_reflects_every_axiom(name):
+    """verify_bundle agrees record by record on a bundle and its transport.
+
+    Transport along an isomorphism over the identity of the base conjugates
+    every axiom, so a model's report decides the transported bundle's; a
+    passing report is the same to the byte.  Four in five models are
+    perturbed by one monomial c y^2.
+    """
+    rng = random.Random(f"transport {name}")
+    verdicts = []
+    for case in range(50):
+        model = TRANSPORT_MODELS[name]()
+        if case % 5:
+            model = _perturbed(model, rng)
+        psi, psi_inv = _fibre_shear(model, rng)
+        moved = transport_bundle(model, psi, psi_inv, model.total)
+        here, there = verify_bundle(model), verify_bundle(moved)
+        assert here.verdict is there.verdict, (case, psi)
+        assert [(r.name, r.status) for r in here.records] == [
+            (r.name, r.status) for r in there.records
+        ], (case, psi)
+        if here.passed:
+            assert here.to_dict() == there.to_dict()
+        verdicts.append(here.verdict)
+    assert Status.PASS in verdicts and Status.FAIL in verdicts

@@ -91,6 +91,39 @@ def test_cli_json_bytes_are_pinned(case, tmp_path, capsys):
     assert _sha(out) == digest
 
 
+TOTAL_BUNDLE_CASES = {
+    "canonical": (
+        lambda: canonical_connection(1),
+        "0391385edd813a85263effbc3405860e565c6ace0a98d2f2e75f05630cba474b",
+    ),
+    "christoffel": (
+        _christoffel,
+        "a05327e02dd2772c964159b2ee7ce0185bb1a21ba47709110fbe21fe99271c67",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOTAL_BUNDLE_CASES))
+def test_total_bundle_json_and_sidecar_bytes_are_pinned(case, tmp_path, capsys):
+    """The report and the transported sum the sidecar holds, both before the
+    sum's axioms were decided on its concatenated model."""
+    build, sidecar = TOTAL_BUNDLE_CASES[case]
+    path = tmp_path / "conn.json"
+    path.write_text(serialize.dumps(serialize.connection_to_json(build())))
+    assert main(["--format", "json", "total-bundle", str(path)]) == 0
+    out = capsys.readouterr().out.replace(str(tmp_path), "DIR")
+    assert _sha(out) == "6a86922d4e78afed3c9999494dd840097f78f1b59d2fba383210cd8860f6e500"
+    assert _sha((tmp_path / "conn.total.json").read_text()) == sidecar
+
+
+@pytest.mark.parametrize("name", ["canonical", "christoffel"])
+def test_connection_demo_bytes_are_pinned(name, capsys):
+    assert main(["--format", "json", "demo", name]) == 0
+    assert _sha(capsys.readouterr().out) == (
+        "4ca6b60da3ddc14d815135bf971573201628a5a9f7e291799eb423e5339bbfba"
+    )
+
+
 def test_derived_H_sidecar_bytes_are_pinned(tmp_path, capsys):
     path = tmp_path / "conn.json"
     path.write_text(serialize.dumps(serialize.connection_to_json(_christoffel())))

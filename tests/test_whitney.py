@@ -1,11 +1,12 @@
 """Hom-monoid laws, Whitney sums, recognition, and partial bundles."""
 
 from dataclasses import replace
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from tangentcat import polycore
+from tangentcat import polycore, whitney
 from tangentcat.polycore import (
     Polynomial,
     PolyMap,
@@ -19,6 +20,7 @@ from tangentcat.dbundle import (
     linear_morphism_report,
     tangent_bundle,
     tangent_of_bundle,
+    transport_bundle,
     trivial_bundle,
     verify_bundle,
 )
@@ -30,6 +32,7 @@ from tangentcat.whitney import (
     partial_add,
     partial_bundle,
     recognize_biproduct,
+    verify_sum,
 )
 from tangentcat.report import Status
 
@@ -348,3 +351,61 @@ def test_identity_resolution_lemma_every_enumeration():
         lhs = partial_add(_keep(bp, [i, k]), _keep(bp, [i, j]), bp, i)
         assert map_equal(lhs, PolyMap.identity(bp.sum.total.dim))
 
+
+
+# ------------------------------------------------ axioms of a presented sum
+
+
+def _presented(summands):
+    """biproduct(summands) with its sum transported along a triangular psi."""
+    bp = biproduct(summands)
+    v = [x(3, i) for i in range(3)]
+    psi = PolyMap.from_components(3, [v[0], v[1].scale(-1) - v[0] * v[0], v[2].scale(2) + v[1] + v[0]])
+    psi_inv = PolyMap.from_components(
+        3, [v[0], v[1].scale(-1) - v[0] * v[0], (v[2] - v[0] + v[1] + v[0] * v[0]).scale(Fraction(1, 2))]
+    )
+    assert map_equal(compose(psi, psi_inv), PolyMap.identity(3))
+    moved = transport_bundle(bp.sum, psi, psi_inv, bp.sum.total)
+    return replace(bp, sum=moved, to_canonical=psi, from_canonical=psi_inv)
+
+
+def _spy_on_verify_bundle(monkeypatch):
+    seen = []
+
+    def spy(b):
+        seen.append(b)
+        return verify_bundle(b)
+
+    monkeypatch.setattr(whitney, "verify_bundle", spy)
+    return seen
+
+
+def test_a_passing_sum_is_decided_on_its_model(monkeypatch):
+    bp = _presented([tangent_bundle(Space.euclidean(1)), trivial_bundle(Space.euclidean(1), 1)])
+    expected = verify_bundle(bp.sum)
+    assert expected.passed
+    seen = _spy_on_verify_bundle(monkeypatch)
+    assert verify_sum(bp).to_dict() == expected.to_dict()
+    assert len(seen) == 1 and seen[0] is not bp.sum
+    assert bundle_difference(seen[0], biproduct(bp.summands).sum) is None
+
+
+def test_the_model_itself_is_verified_once(monkeypatch):
+    bp = biproduct([tangent_bundle(Space.euclidean(1)), trivial_bundle(Space.euclidean(1), 2)])
+    seen = _spy_on_verify_bundle(monkeypatch)
+    assert verify_sum(bp).passed
+    assert seen == [bp.sum]
+
+
+def test_a_failing_sum_is_reported_on_its_own_coordinates(monkeypatch):
+    tr = tangent_bundle(Space.euclidean(1))
+    lift = PolyMap.from_components(2, [x(2, 0), x(2, 1), Polynomial.zero(2), x(2, 1) * x(2, 1)])
+    bp = _presented([replace(tr, lift=lift), trivial_bundle(Space.euclidean(1), 1)])
+    model = verify_bundle(biproduct(bp.summands).sum)
+    expected = verify_bundle(bp.sum)
+    assert model.verdict is expected.verdict is Status.FAIL
+    # the witnesses name coordinates, so the model's report is not the sum's
+    assert model.to_dict() != expected.to_dict()
+    seen = _spy_on_verify_bundle(monkeypatch)
+    assert verify_sum(bp).to_dict() == expected.to_dict()
+    assert len(seen) == 2 and seen[1] is bp.sum
