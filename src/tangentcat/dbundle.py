@@ -18,7 +18,7 @@ bundle morphism; ``_additive_morphism_report`` is the one check for that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from .polycore import (
@@ -89,8 +89,9 @@ class DiffBundle:
         return tangent_of_bundle(self)
 
 
+@cache
 def tangent_bundle(s: Space) -> DiffBundle:
-    """The tangent bundle (TM, p, +, 0, l) of a space, in standard position."""
+    """The tangent bundle (TM, p, +, 0, l) of a space, in standard position; built once."""
     return DiffBundle(
         total=T_obj(s),
         base=s,

@@ -1,12 +1,12 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a finite set of monomial terms with nonzero ``Fraction``
-coefficients, kept in a canonical (graded lexicographic) order so that
-structural equality coincides with mathematical equality.  A ``PolyMap`` is a
-tuple of polynomials sharing one arity and is the engine's notion of a smooth
-morphism between Cartesian spaces; every identity checked downstream bottoms
-out in ``map_equal`` here, which is why coefficients are exact rationals and
-never floats.
+A polynomial is a finite set of monomial terms with nonzero rational
+coefficients, an ``int`` when integral and else a ``Fraction``, kept in a
+canonical (graded lexicographic) order so that structural equality coincides
+with mathematical equality.  A ``PolyMap`` is a tuple of polynomials sharing
+one arity and is the engine's notion of a smooth morphism between Cartesian
+spaces; every identity checked downstream bottoms out in ``map_equal`` here,
+which is why coefficients are exact rationals and never floats.
 
 Composition is written diagrammatically throughout: ``compose(g, f)`` means
 "first g, then f".
@@ -17,31 +17,35 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import chain, takewhile
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
-Term = tuple[Exponent, Fraction]
-_ONE = Fraction(1)
+Term = tuple[Exponent, int | Fraction]
 
 
 class ShapeError(ValueError):
     """Raised when arities or map dimensions do not line up."""
 
 
-def _canonical_terms(
-    arity: int, terms: Mapping[Exponent, Fraction]
-) -> tuple[tuple[Exponent, Fraction], ...]:
+def _exact(c: int | Fraction) -> int | Fraction:
+    """The canonical coefficient: an ``int`` when c is integral, else c."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _canonical_terms(arity: int, terms: Mapping[Exponent, Fraction | int]) -> tuple[Term, ...]:
     items = []
     for exps, coeff in terms.items():
+        coeff = _exact(Fraction(coeff))
         if coeff == 0:
             continue
         if len(exps) != arity:
             raise ShapeError(f"exponent vector {exps} has length != arity {arity}")
         if any(e < 0 for e in exps):
             raise ShapeError(f"negative exponent in {exps}")
-        items.append((tuple(exps), Fraction(coeff)))
+        items.append((tuple(exps), coeff))
     items.sort(key=_grlex)
     return tuple(items)
 
@@ -51,14 +55,14 @@ def _grlex(term: Term) -> tuple[int, Exponent]:
     return sum(term[0]), term[0]
 
 
-def _sorted_terms(acc: Mapping[Exponent, Fraction]) -> tuple[Term, ...]:
-    """Canonical terms of an accumulator: zeros dropped, graded-lex order.
+def _sorted_terms(acc: Mapping[Exponent, int | Fraction]) -> tuple[Term, ...]:
+    """Canonical terms of an accumulator: zeros dropped, integral values as ``int``, graded-lex order.
 
-    Nothing is validated: the arithmetic builds valid exponents and
-    ``Fraction`` coefficients by construction.  Validation happens once, at
-    the boundary, in ``from_terms`` (which ``serialize`` calls).
+    Nothing is validated: the arithmetic builds valid exponents and exact
+    coefficients by construction.  Validation happens once, at the
+    boundary, in ``from_terms`` (which ``serialize`` calls).
     """
-    return tuple(sorted(((e, c) for e, c in acc.items() if c), key=_grlex))
+    return tuple(sorted(((e, _exact(c)) for e, c in acc.items() if c), key=_grlex))
 
 
 def _value(terms: Iterable[Term], point: Sequence[Fraction]) -> Fraction:
@@ -72,9 +76,9 @@ def _value(terms: Iterable[Term], point: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def _mul_terms(a: Iterable[Term], b: Sequence[Term]) -> dict[Exponent, Fraction]:
+def _mul_terms(a: Iterable[Term], b: Sequence[Term]) -> dict[Exponent, int | Fraction]:
     """Product of two term lists as an accumulator; zeros are not dropped."""
-    acc: dict[Exponent, Fraction] = {}
+    acc: dict[Exponent, int | Fraction] = {}
     get = acc.get
     for ea, ca in a:
         for eb, cb in b:
@@ -93,7 +97,7 @@ class Polynomial:
 
     @staticmethod
     def from_terms(arity: int, terms: Mapping[Exponent, Fraction | int]) -> "Polynomial":
-        return Polynomial(arity, _canonical_terms(arity, {k: Fraction(v) for k, v in terms.items()}))
+        return Polynomial(arity, _canonical_terms(arity, terms))
 
     @staticmethod
     def zero(arity: int) -> "Polynomial":
@@ -101,15 +105,16 @@ class Polynomial:
 
     @staticmethod
     def constant(arity: int, value: Fraction | int) -> "Polynomial":
-        return Polynomial.from_terms(arity, {(0,) * arity: Fraction(value)})
+        return Polynomial.from_terms(arity, {(0,) * arity: value})
 
     @staticmethod
+    @cache
     def variable(arity: int, index: int) -> "Polynomial":
         if not 0 <= index < arity:
             raise ShapeError(f"variable index {index} out of range for arity {arity}")
         exps = [0] * arity
         exps[index] = 1
-        return Polynomial(arity, ((tuple(exps), _ONE),))
+        return Polynomial(arity, ((tuple(exps), 1),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -120,7 +125,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.arity != other.arity:
             raise ShapeError(f"arity mismatch: {self.arity} vs {other.arity}")
-        acc: dict[Exponent, Fraction] = dict(self.terms)
+        acc: dict[Exponent, int | Fraction] = dict(self.terms)
         get = acc.get
         for exps, coeff in other.terms:
             v = get(exps)
@@ -139,14 +144,14 @@ class Polynomial:
         return Polynomial(self.arity, _sorted_terms(_mul_terms(self.terms, other.terms)))
 
     def scale(self, value: Fraction | int) -> "Polynomial":
-        v = Fraction(value)
+        v = _exact(Fraction(value))
         if v == 0:
             return Polynomial.zero(self.arity)
-        return Polynomial(self.arity, tuple((e, c * v) for e, c in self.terms))
+        return Polynomial(self.arity, tuple((e, _exact(c * v)) for e, c in self.terms))
 
     def derivative(self, index: int) -> "Polynomial":
         """Exact partial derivative with respect to variable ``index``."""
-        acc: dict[Exponent, Fraction] = {}
+        acc: dict[Exponent, int | Fraction] = {}
         for exps, coeff in self.terms:
             e = exps[index]
             if e:
@@ -169,7 +174,7 @@ class Polynomial:
         for a in args:
             if a.arity != new_arity:
                 raise ShapeError("substitution arguments have mixed arities")
-        return _substitute_all((self,), args, new_arity)[0]
+        return _substitute_all((self,), args, new_arity, _variable_indices(args))[0]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -187,23 +192,23 @@ class Polynomial:
 
 
 def _substitute_all(
-    polys: Sequence[Polynomial], args: Sequence[Polynomial], new_arity: int
+    polys: Sequence[Polynomial], args: Sequence[Polynomial], new_arity: int, idx: Optional[tuple[int, ...]]
 ) -> tuple[Polynomial, ...]:
     """Substitute ``args`` into each of ``polys``, whose arity is ``len(args)``.
 
     Two paths, neither of which builds an intermediate ``Polynomial``: when
-    every argument is a bare variable (a coordinate selection or a padding)
-    the substitution is a reindexing of exponents; otherwise the powers of
+    every argument is a bare variable (a coordinate selection or a padding),
+    ``idx`` holds their indices and the substitution is a reindexing of
+    exponents; otherwise ``idx`` is None and the powers of
     each argument are computed once for all of ``polys`` and the products of
     each polynomial's terms accumulate into one dict.  Nothing is validated:
     the callers check shapes, and canonical inputs give canonical results.
     """
     out = []
-    idx = _variable_indices(args)
-    one = (((0,) * new_arity, _ONE),)
+    one = (((0,) * new_arity, 1),)
     powers = [[one, a.terms] for a in args]  # powers[i][e] = args[i]^e
     for p in polys:
-        acc: dict[Exponent, Fraction] = {}
+        acc: dict[Exponent, int | Fraction] = {}
         get = acc.get
         if idx is not None:
             for exps, coeff in p.terms:
@@ -263,6 +268,11 @@ class PolyMap:
     def max_degree(self) -> int:
         return max((c.total_degree() for c in self.components), default=0)
 
+    @cached_property
+    def selected(self) -> Optional[tuple[int, ...]]:
+        """The selected indices when every component is a bare variable, else None."""
+        return _variable_indices(self.components)
+
 
 def compose(g: PolyMap, f: PolyMap) -> PolyMap:
     """Diagrammatic composite: apply g first, then f.
@@ -278,10 +288,10 @@ def compose(g: PolyMap, f: PolyMap) -> PolyMap:
             f"cannot compose: first map lands in dim {g.codomain_dim}, "
             f"second expects dim {f.domain_dim}"
         )
-    idx = selection_indices(f)
+    idx = f.selected
     if idx is not None:
         return PolyMap(g.domain_dim, tuple(g.components[i] for i in idx))
-    return PolyMap(g.domain_dim, _substitute_all(f.components, g.components, g.domain_dim))
+    return PolyMap(g.domain_dim, _substitute_all(f.components, g.components, g.domain_dim, g.selected))
 
 
 def compose_all(*maps: PolyMap) -> PolyMap:
@@ -340,7 +350,7 @@ def _variable_indices(polys: Sequence[Polynomial]) -> Optional[tuple[int, ...]]:
 
 def selection_indices(f: PolyMap) -> Optional[tuple[int, ...]]:
     """If every component is a bare variable, return the selected indices."""
-    return _variable_indices(f.components)
+    return f.selected
 
 
 def pair_into(
@@ -421,15 +431,15 @@ def power_pair(total_dim: int, base_coords: Sequence[int], maps: Sequence[PolyMa
 DEGREE_BUDGET = 64
 
 
-def _gauss_jordan(rows: list[dict[int, Fraction]]) -> tuple[Fraction, Optional[list[dict[int, Fraction]]]]:
+def _gauss_jordan(rows: list[dict[int, int | Fraction]]) -> tuple[Fraction, Optional[list[dict[int, Fraction]]]]:
     """Determinant and inverse of a square matrix of sparse rows; no inverse when singular.
 
     Rows hold no zero entries, so a permutation of scaled coordinates costs
-    one pass over its columns.
+    one pass over its columns.  Pivots are made ``Fraction``s: int rows divide exactly.
     """
     n = len(rows)
-    aug = [{**row, n + i: _ONE} for i, row in enumerate(rows)]
-    det = _ONE
+    aug = [{**row, n + i: 1} for i, row in enumerate(rows)]
+    det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if col in aug[r]), None)
         if pivot is None:
@@ -437,7 +447,7 @@ def _gauss_jordan(rows: list[dict[int, Fraction]]) -> tuple[Fraction, Optional[l
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
             det = -det
-        p = aug[col][col]
+        p = Fraction(aug[col][col])
         det *= p
         prow = aug[col] = {k: v / p for k, v in aug[col].items()}
         for r, row in enumerate(aug):
@@ -466,10 +476,12 @@ def _det_witness(f: PolyMap) -> Optional[str]:
     det J agrees at the fixed points is caught before a long expansion, and
     one map always meets the same points.  In fewer variables the
     Bass-Connell-Wright bound (deg f)^(n-1) is at most deg f: the expansion
-    has ended when det J is sampled, and the bound refutes at once.
+    has ended when det J is sampled, and the bound refutes at once.  The
+    seed writes every coefficient of f as a ``Fraction``, whichever type holds it.
     """
     n, jac, first = f.domain_dim, jacobian(f), None
-    rng = random.Random(repr(f))
+    as_fractions = tuple(Polynomial(n, tuple((e, Fraction(v)) for e, v in c.terms)) for c in f.components)
+    rng = random.Random(repr(PolyMap(n, as_fractions)))
     seeded = (
         [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
         for _ in range(_DET_SAMPLES if n > 2 else 0)
@@ -550,7 +562,7 @@ def invert_polymap(f: PolyMap) -> PolyMap:
     h = [Polynomial(n, tuple(t for t in c.terms if sum(t[0]) > 1)) for c in compose(f, shift).components]
     # parts[m][k] is the degree-k part of G^m, for m a variable, a monomial
     # of h or a prefix of one, built as G^(m - e_i) G_i.
-    parts: dict[Exponent, list[dict[Exponent, Fraction]]] = {u: [{}, {u: _ONE}] for u in units}
+    parts: dict[Exponent, list[dict[Exponent, int | Fraction]]] = {u: [{}, {u: 1}] for u in units}
     recipe = []
     for m in (m for c in h for m, _ in c.terms):
         while m not in parts:
@@ -567,7 +579,7 @@ def invert_polymap(f: PolyMap) -> PolyMap:
     at = list(point)  # G at the point, truncated at degree k
     for k in range(1, cap + 1):
         for _, m, parent, i in recipe if k > 1 else ():
-            part: dict[Exponent, Fraction] = {}
+            part: dict[Exponent, int | Fraction] = {}
             for j in range(sum(parent), k):
                 for e, c in _mul_terms(parts[parent][j].items(), tuple(parts[units[i]][k - j].items())).items():
                     part[e] = part.get(e, 0) + c

@@ -77,14 +77,17 @@ def T_map(f: PolyMap) -> PolyMap:
     term c x^e of f_i to the terms (c e_j) x^(e - 1_j) t_j; distinct
     (term, j) pairs give distinct monomials, so these only need sorting.
     Nothing is substituted or validated: f is canonical, so the result is.
+    T of a coordinate selection selects the same coordinates of both blocks.
     """
-    m = f.domain_dim
+    m, idx = f.domain_dim, f.selected
+    if idx is not None:
+        return PolyMap.selection(2 * m, idx + tuple(m + i for i in idx))
     pad = (0,) * m
     t = [pad[:j] + (1,) + pad[j + 1 :] for j in range(m)]
     base, tangent = [], []
     for comp in f.components:
         base.append(Polynomial(2 * m, tuple((e + pad, c) for e, c in comp.terms)))
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in comp.terms:
             for j, ej in enumerate(e):
                 if ej:

@@ -73,6 +73,10 @@ def test_tangent_is_built_once_per_bundle():
     assert bundle_difference(other.tangent, t) is None
 
 
+def test_tangent_bundle_is_built_once_per_space():
+    assert tangent_bundle(Space.euclidean(2)) is tangent_bundle(Space.euclidean(2))
+
+
 def test_corrupted_lift_fails_named_axiom():
     b = tangent_bundle(Space.euclidean(1))
     bad_lift = PolyMap.from_components(

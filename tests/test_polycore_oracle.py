@@ -40,7 +40,7 @@ def same(p: Polynomial, expr, syms=X) -> bool:
 def assert_canonical(p: Polynomial) -> None:
     keys = []
     for exps, c in p.terms:
-        assert type(c) is Fraction and c != 0
+        assert (type(c) is int or (type(c) is Fraction and c.denominator > 1)) and c != 0
         assert len(exps) == p.arity and all(type(e) is int and e >= 0 for e in exps)
         keys.append((sum(exps), exps))
     assert keys == sorted(keys) and len(set(keys)) == len(keys)

@@ -95,3 +95,11 @@ def test_T_of_square_map():
     x0 = Polynomial.variable(2, 0)
     x1 = Polynomial.variable(2, 1)
     assert tf == PolyMap.from_components(2, [x0 * x0, (x0 * x1).scale(2)])
+
+
+def test_T_of_a_selection_selects_both_blocks():
+    sel = PolyMap.selection(3, (2, 0))
+    assert T_map(sel) == PolyMap.selection(6, (2, 0, 5, 3))
+    x0, x1 = PolyMap.identity(2).components
+    f = PolyMap.from_components(2, [x0 * x1])
+    assert map_equal(T_map(compose(sel, f)), compose(T_map(sel), T_map(f)))
