@@ -151,10 +151,7 @@ def cmd_derive_h(args) -> int:
 
 
 def cmd_total_bundle(args) -> int:
-    c = _read(args)
-    if c.bundle.base.dim == 0:
-        raise SerializationError("total-bundle needs a base of positive dimension")
-    eff, decomp = check_effective(c)
+    eff, decomp = check_effective(_read(args))
     if decomp is None:
         _emit(eff, args.format)
         return _exit_code(eff)

@@ -47,11 +47,11 @@ from .dbundle import (
     mu_map,
     tangent_bundle,
 )
-from .tangent import Space, T_map, T_obj, add_plus, lift_l, proj_p, zero_0
+from .tangent import Space, T_map, T_obj, lift_l, proj_p, zero_0
 from .whitney import (
     BiproductBundle,
-    _zeta_fibre,
-    biproduct,
+    concatenated,
+    fibre_part,
     partial_bundle,
     recognize_biproduct,
 )
@@ -108,7 +108,7 @@ class Decomposition:
         iota12 = PolyMap(
             hat,
             PolyMap.identity(hat).components
-            + compose(PolyMap.selection(hat, range(b.base.dim)), _zeta_fibre(b)).components,
+            + compose(PolyMap.selection(hat, range(b.base.dim)), fibre_part(b, b.zeta)).components,
         )
         return compose(iota12, self.theta_inv)
 
@@ -160,14 +160,15 @@ def check_horizontal(c: Connection) -> Report:
     rep.check_equal(
         "section", "H then <p_E, T(q)> is the identity", compose(c.H, section_target(b)), PolyMap.identity(hat)
     )
-    # H is linear over both partial bundles of E x_M TM = E + TM.
-    sources = biproduct([b, tangent_bundle(b.base)])
+    # H is linear over both partial bundles of E x_M TM = E + TM, whose
+    # concatenated model is E x_M TM itself.
+    summands = (b, tangent_bundle(b.base))
     rep.extend(
         linear_morphism_report(
             "over the total space",
             c.H,
             PolyMap.identity(b.total.dim),
-            partial_bundle(sources, 0),
+            concatenated(summands, b.base, fixed=0),
             tangent_bundle(b.total),
         ),
         prefix="linearity over the total space: ",
@@ -177,7 +178,7 @@ def check_horizontal(c: Connection) -> Report:
             "over the tangent base",
             c.H,
             PolyMap.identity(2 * b.base.dim),
-            partial_bundle(sources, 1),
+            concatenated(summands, b.base, fixed=1),
             b.tangent,
         ),
         prefix="linearity over the tangent base: ",
@@ -200,8 +201,7 @@ def check_pair(c: Connection) -> Report:
         # Parts that lie over different points of E cannot be added.
         vertical_part = compose(power_pair(e, b.base_coords, [c.K, proj_p(b.total)]), mu_map(b))
         horizontal_part = compose(section_target(b), c.H)
-        paired = power_pair(2 * e, range(e), [vertical_part, horizontal_part])
-        return compose(paired, add_plus(b.total)), PolyMap.identity(2 * e)
+        return tangent_bundle(b.total).add(vertical_part, horizontal_part), PolyMap.identity(2 * e)
 
     rep.check_built(
         "decomposition of the identity", "vertical part plus horizontal part is the identity on TE", sides

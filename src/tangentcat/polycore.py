@@ -348,11 +348,6 @@ def _variable_indices(polys: Sequence[Polynomial]) -> Optional[tuple[int, ...]]:
     return tuple(out)
 
 
-def selection_indices(f: PolyMap) -> Optional[tuple[int, ...]]:
-    """If every component is a bare variable, return the selected indices."""
-    return f.selected
-
-
 def pair_into(
     target_dim: int, projections: Sequence[PolyMap], maps: Sequence[PolyMap]
 ) -> PolyMap:
@@ -377,7 +372,7 @@ def pair_into(
             raise ShapeError("pair_into: paired maps have mixed domains")
         if m.codomain_dim != proj.codomain_dim:
             raise ShapeError("pair_into: map does not match its projection")
-        idx = selection_indices(proj)
+        idx = proj.selected
         if idx is None:
             raise ShapeError("pair_into: projection is not a coordinate selection")
         for j, comp in zip(idx, m.components):

@@ -40,10 +40,6 @@ def _expect(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
-def fraction_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def fraction_from_str(s: Any, where: str) -> Fraction:
     if not isinstance(s, str) or not _FRACTION.fullmatch(s):
         raise SerializationError(f"{where}: coefficients must be fraction strings")
@@ -57,7 +53,7 @@ def poly_to_json(p: Polynomial) -> dict:
     return {
         "arity": p.arity,
         "terms": [
-            {"coeff": fraction_to_str(c), "exps": list(e)} for e, c in p.terms
+            {"coeff": str(c), "exps": list(e)} for e, c in p.terms
         ],
     }
 
@@ -156,9 +152,7 @@ def bundle_from_json(obj: Any, where: str = "bundle") -> DiffBundle:
             zeta=map_from_json(_expect(obj, "zeta", where), f"{where}.zeta"),
             lift=map_from_json(_expect(obj, "lambda", where), f"{where}.lambda"),
         )
-    except ValueError as exc:
-        if isinstance(exc, SerializationError):
-            raise
+    except ShapeError as exc:
         raise SerializationError(f"{where}: {exc}") from exc
 
 

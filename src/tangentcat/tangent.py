@@ -37,10 +37,10 @@ class Space:
             raise ShapeError("block sizes do not sum to the dimension")
 
     @staticmethod
-    def euclidean(n: int, name: str = "x") -> "Space":
+    def euclidean(n: int) -> "Space":
         if n == 0:
             return Space(0, ())
-        return Space(n, ((name, n),))
+        return Space(n, (("x", n),))
 
 
 def _fresh_names(used: Sequence[str], count: int) -> list[str]:

@@ -9,12 +9,16 @@ is handled by recognizing a comparison isomorphism onto the canonical model
 and transporting the structure across it.  A biproduct also induces, for each
 summand index, a *partial* bundle structure on the whole total space over
 that summand, which fixes the chosen block and adds the remaining ones; the
-sum and its partial bundles are built by one construction of the model.
+sum and its partial bundles are built by one construction of the model,
+``concatenated``.  A sum is always handled through its comparison
+isomorphism: its partial bundles are the model's transported along it, and
+its axioms are decided on the model first.  For a sum built by
+``biproduct`` the isomorphism is the identity, and transport along it is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .polycore import (
@@ -26,30 +30,15 @@ from .polycore import (
     first_difference,
     invert_polymap,
     map_equal,
-    power_pair,
-    selection_indices,
 )
 from .report import Report
 from .tangent import Space
 from .dbundle import DiffBundle, transport_bundle, verify_bundle
 
 
-def _fibre_part(b: DiffBundle, m: PolyMap) -> PolyMap:
+def fibre_part(b: DiffBundle, m: PolyMap) -> PolyMap:
     """Restrict a map into the total space of b to its fibre components."""
     return PolyMap(m.domain_dim, tuple(m.components[i] for i in b.fibre_coords))
-
-
-def _zeta_fibre(b: DiffBundle) -> PolyMap:
-    return _fibre_part(b, b.zeta)
-
-
-def _sigma_fibre(b: DiffBundle) -> PolyMap:
-    return _fibre_part(b, b.sigma)
-
-
-def _lift_tangent_fibre(b: DiffBundle) -> PolyMap:
-    e = b.total.dim
-    return PolyMap(e, tuple(b.lift.components[e + i] for i in b.fibre_coords))
 
 
 def _positions(summands: Sequence[DiffBundle], m: int, i: int) -> list[int]:
@@ -79,7 +68,7 @@ def hom_add(f: PolyMap, g: PolyMap, src: DiffBundle, dst: DiffBundle) -> PolyMap
     """The sum of two morphisms over the base: pair into the square, then add."""
     if src.base.dim != dst.base.dim:
         raise ShapeError("hom_add requires bundles over the same base")
-    return compose(power_pair(dst.total.dim, dst.base_coords, [f, g]), dst.sigma)
+    return dst.add(f, g)
 
 
 @dataclass(frozen=True)
@@ -97,11 +86,6 @@ class BiproductBundle:
     injections: tuple[PolyMap, ...]
     to_canonical: PolyMap
     from_canonical: PolyMap
-
-    @property
-    def is_model(self) -> bool:
-        """Whether the presented sum is the concatenated model itself."""
-        return selection_indices(self.to_canonical) == tuple(range(self.sum.total.dim))
 
 
 def _section(summands: Sequence[DiffBundle], m: int, fixed: Optional[int] = None) -> PolyMap:
@@ -121,11 +105,11 @@ def _section(summands: Sequence[DiffBundle], m: int, fixed: Optional[int] = None
         if i == fixed:
             comps.extend(Polynomial.variable(dom, p) for p in s.fibre_coords)
         else:
-            comps.extend(compose(qb, _zeta_fibre(s)).components)
+            comps.extend(compose(qb, fibre_part(s, s.zeta)).components)
     return PolyMap(dom, tuple(comps))
 
 
-def _concatenated(
+def concatenated(
     summands: Sequence[DiffBundle], base: Space, fixed: Optional[int] = None
 ) -> DiffBundle:
     """The concatenated model (x, w_1, ..., w_r) of a Whitney sum as a bundle.
@@ -158,9 +142,10 @@ def _concatenated(
             continue
         pair = PolyMap.selection(sq, pos + list(range(extra, extra + fdims[i])))
         extra += fdims[i]
-        sigma_comps.extend(compose(pair, _sigma_fibre(s)).components)
-        lift_fibre.extend(compose(qe, _zeta_fibre(s)).components)
-        lift_tangent.extend(compose(PolyMap.selection(e, pos), _lift_tangent_fibre(s)).components)
+        sigma_comps.extend(compose(pair, fibre_part(s, s.sigma)).components)
+        lift_fibre.extend(compose(qe, fibre_part(s, s.zeta)).components)
+        tangent = PolyMap(s.total.dim, s.lift.components[s.total.dim :])
+        lift_tangent.extend(compose(PolyMap.selection(e, pos), fibre_part(s, tangent)).components)
     sigma = PolyMap(sq, tuple(sigma_comps))
     lift = PolyMap(e, qe.components + tuple(lift_fibre + [Polynomial.zero(e)] * m + lift_tangent))
 
@@ -180,7 +165,7 @@ def biproduct(summands: Sequence[DiffBundle], base: Optional[Space] = None) -> B
         raise ShapeError("an empty biproduct needs an explicit base space")
     if any(s.base.dim != base.dim for s in summands):
         raise ShapeError("biproduct summands must share a base")
-    sum_bundle = _concatenated(summands, base)
+    sum_bundle = concatenated(summands, base)
     m, e = base.dim, sum_bundle.total.dim
     indices = range(len(summands))
     ident = PolyMap.identity(e)
@@ -347,11 +332,10 @@ def verify_sum(bp: BiproductBundle) -> Report:
     witnesses name the sum's coordinates.  The one verdict that can
     differ is axiom 4's: an inverse's degree is not invariant under
     conjugation, so the inverter's budget can run out on mu' where it
-    does not on mu.
+    does not on mu.  A sum built by ``biproduct`` is C itself, decided
+    once when it passes.
     """
-    if bp.is_model:
-        return verify_bundle(bp.sum)
-    report = verify_bundle(_concatenated(bp.summands, bp.sum.base))
+    report = verify_bundle(concatenated(bp.summands, bp.sum.base))
     return report if report.passed else verify_bundle(bp.sum)
 
 
@@ -359,10 +343,7 @@ def partial_bundle(bp: BiproductBundle, j: int) -> DiffBundle:
     """The j-th partial bundle: over that summand, it fixes its block and adds the rest."""
     if not 0 <= j < len(bp.summands):
         raise ShapeError(f"partial-bundle index {j} out of range")
-    canon = _concatenated(bp.summands, bp.sum.base, fixed=j)
-    if bp.is_model:
-        # only the layout names differ
-        return replace(canon, total=bp.sum.total)
+    canon = concatenated(bp.summands, bp.sum.base, fixed=j)
     return transport_bundle(canon, bp.to_canonical, bp.from_canonical, bp.sum.total)
 
 
@@ -374,6 +355,5 @@ def partial_add(f: PolyMap, g: PolyMap, bp: BiproductBundle, j: int) -> PolyMap:
     diff = first_difference(fj, gj)
     if diff is not None:
         raise ShapeError(f"operands disagree on the fixed block: {diff}")
-    b = partial_bundle(bp, j)
-    return compose(power_pair(b.total.dim, b.base_coords, [f, g]), b.sigma)
+    return partial_bundle(bp, j).add(f, g)
 

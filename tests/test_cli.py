@@ -272,6 +272,25 @@ def test_total_bundle_writes_verified_structure(tmp_path, capsys):
     assert [str(p) for p in bundle.zeta.components] == ["x0", "0", "0", "0"]
 
 
+def _trivial_over_a_point():
+    """R^0 x R with K = (w, w') -> w'."""
+    from tangentcat.dbundle import trivial_bundle
+
+    return Connection(trivial_bundle(Space.euclidean(0), 1), PolyMap.selection(2, [1]))
+
+
+@pytest.mark.parametrize(
+    "build", [_trivial_over_a_point, lambda: canonical_connection(0)], ids=["trivial-R0xR", "canonical-0"]
+)
+def test_total_bundle_over_a_base_of_dimension_0(tmp_path, capsys, build):
+    """A valid document over R^0 is decided, not rejected as malformed."""
+    path = write_connection(tmp_path, build())
+    assert main(["total-bundle", path]) == 0
+    assert "verdict: pass" in capsys.readouterr().out
+    bundle = serialize.bundle_from_json(json.loads(open(tmp_path / "conn.total.json").read()))
+    assert bundle.base.dim == 0
+
+
 # ---------------------------------------------------------------- decompose
 
 

@@ -14,7 +14,7 @@ from tangentcat.polycore import (
     eval_map,
     map_equal,
 )
-from tangentcat.tangent import Space, T_map, zero_0
+from tangentcat.tangent import Space, T_map, T_obj, add_plus, lift_l, zero_0
 from tangentcat.dbundle import (
     DiffBundle,
     bundle_difference,
@@ -75,6 +75,14 @@ def test_tangent_is_built_once_per_bundle():
 
 def test_tangent_bundle_is_built_once_per_space():
     assert tangent_bundle(Space.euclidean(2)) is tangent_bundle(Space.euclidean(2))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_tangent_bundle_is_the_explicit_tangent_structure(n):
+    """TM built as a trivial bundle is (TM, p, +, 0, l) from the tangent structure."""
+    s = Space.euclidean(n)
+    explicit = DiffBundle(T_obj(s), s, tuple(range(n)), add_plus(s), zero_0(s), lift_l(s))
+    assert tangent_bundle(s) == explicit
 
 
 def test_corrupted_lift_fails_named_axiom():

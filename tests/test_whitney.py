@@ -289,6 +289,22 @@ def test_single_summand_partial_is_identity_like():
     assert verify_bundle(pb).verdict is Status.PASS
 
 
+@pytest.mark.parametrize(
+    "summands",
+    [
+        [tangent_bundle(Space.euclidean(1)), trivial_bundle(Space.euclidean(1), 2)],
+        _with_tangent(trivial_bundle(Space.euclidean(2), 1)),
+        [tangent_of_bundle(tangent_bundle(Space.euclidean(1)))] * 2,
+    ],
+    ids=["TR-R1xR2", "R2xR-TM", "TTM-TTM"],
+)
+def test_partials_of_a_built_sum_are_the_model_partials(summands):
+    """Transport along the identity comparison map gives the model's partial bundle."""
+    bp = biproduct(summands)
+    for j in range(len(summands)):
+        assert partial_bundle(bp, j) == whitney.concatenated(bp.summands, bp.sum.base, fixed=j)
+
+
 def test_partial_index_out_of_range():
     bp = biproduct([tangent_bundle(Space.euclidean(1))])
     with pytest.raises(ShapeError):
@@ -395,6 +411,18 @@ def test_the_model_itself_is_verified_once(monkeypatch):
     seen = _spy_on_verify_bundle(monkeypatch)
     assert verify_sum(bp).passed
     assert seen == [bp.sum]
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["passing", "perturbed-sigma"])
+def test_a_built_sum_is_reported_as_its_own_bundle(perturb):
+    tr = tangent_bundle(Space.euclidean(1))
+    if perturb:
+        sigma = PolyMap.from_components(3, [x(3, 0), x(3, 1) + x(3, 2) + x(3, 1) * x(3, 2)])
+        tr = replace(tr, sigma=sigma)
+    bp = biproduct([tr, trivial_bundle(Space.euclidean(1), 1)])
+    report = verify_sum(bp)
+    assert report.passed is not perturb
+    assert report.to_dict() == verify_bundle(bp.sum).to_dict()
 
 
 def test_a_failing_sum_is_reported_on_its_own_coordinates(monkeypatch):
