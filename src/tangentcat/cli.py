@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import cache
 from typing import Optional
 
 from .polycore import Polynomial, ShapeError
@@ -208,7 +209,13 @@ def cmd_demo(args) -> int:
     return _exit_code(report)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    ``parse_args`` returns a fresh namespace per call and leaves the parser
+    as it was, so sharing it carries no state from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="tangentcat",
         description="Exact verifier for polynomial tangent-category structures.",
@@ -247,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SerializationError, DegreeError, ShapeError) as exc:

@@ -91,7 +91,11 @@ class Decomposition:
     """
 
     biproduct: BiproductBundle
-    total: DiffBundle  # the same bundle as biproduct.sum
+
+    @property
+    def total(self) -> DiffBundle:
+        """The sum on TE, transported from its model when first read."""
+        return self.biproduct.sum
 
     @property
     def theta(self) -> PolyMap:
@@ -272,16 +276,19 @@ def _effectiveness(c: Connection, vert: Report) -> _Effectiveness:
     )
     decomp = None
     if rep.passed:
-        decomp = Decomposition(biproduct=recog.biproduct, total=recog.biproduct.sum)
+        decomp = Decomposition(biproduct=recog.biproduct)
     return _Effectiveness(rep, decomp, injections=injections)
 
 
 def check_effective(c: Connection) -> tuple[Report, Optional[Decomposition]]:
-    """Invert the three-way pairing and transport the Whitney-sum structure.
+    """Invert the three-way pairing and recognize TE as the Whitney sum E + TM + E.
 
     The vertical identities are checked first, as the gate: the pairing is
-    inverted only when they hold.  The decomposition is returned only when
-    every record passes.
+    inverted only when they hold.  The sum's biproduct laws are decided on
+    its concatenated model, and only the two partial bundles are transported
+    onto TE; the sum itself is transported when the decomposition's
+    ``total`` is first read.  The decomposition is returned only when every
+    record passes.
     """
     eff = _effectiveness(c, check_vertical(c))
     return eff.report, eff.decomposition

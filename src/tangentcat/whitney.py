@@ -11,14 +11,16 @@ summand index, a *partial* bundle structure on the whole total space over
 that summand, which fixes the chosen block and adds the remaining ones; the
 sum and its partial bundles are built by one construction of the model,
 ``concatenated``.  A sum is always handled through its comparison
-isomorphism: its partial bundles are the model's transported along it, and
-its axioms are decided on the model first.  For a sum built by
-``biproduct`` the isomorphism is the identity, and transport along it is exact.
+isomorphism: its biproduct laws and its axioms are decided on the model
+first, its partial bundles are the model's transported along it, and the
+sum itself is transported only when it is read.  For a sum built by
+``biproduct`` the isomorphism is the identity and the sum is the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .polycore import (
@@ -75,17 +77,29 @@ def hom_add(f: PolyMap, g: PolyMap, src: DiffBundle, dst: DiffBundle) -> PolyMap
 class BiproductBundle:
     """A Whitney sum with its projections, injections, and summand list.
 
-    ``to_canonical``/``from_canonical`` relate the presented total space to
-    the canonical concatenated model; both are the identity when the sum was
-    built directly by :func:`biproduct`.
+    ``model`` is the concatenated model of the summands and ``total`` the
+    presented total space; ``to_canonical``/``from_canonical`` relate the
+    two, and both are the identity when the sum was built directly by
+    :func:`biproduct`.
     """
 
-    sum: DiffBundle
+    model: DiffBundle
+    total: Space
     summands: tuple[DiffBundle, ...]
     projections: tuple[PolyMap, ...]
     injections: tuple[PolyMap, ...]
     to_canonical: PolyMap
     from_canonical: PolyMap
+
+    @cached_property
+    def sum(self) -> DiffBundle:
+        """The sum on the presented total space, transported from the model on first read.
+
+        A sum built by :func:`biproduct` is its model.
+        """
+        if self.total == self.model.total and self.to_canonical.selected == tuple(range(self.total.dim)):
+            return self.model
+        return transport_bundle(self.model, self.to_canonical, self.from_canonical, self.total)
 
 
 def _section(summands: Sequence[DiffBundle], m: int, fixed: Optional[int] = None) -> PolyMap:
@@ -165,12 +179,13 @@ def biproduct(summands: Sequence[DiffBundle], base: Optional[Space] = None) -> B
         raise ShapeError("an empty biproduct needs an explicit base space")
     if any(s.base.dim != base.dim for s in summands):
         raise ShapeError("biproduct summands must share a base")
-    sum_bundle = concatenated(summands, base)
-    m, e = base.dim, sum_bundle.total.dim
+    model = concatenated(summands, base)
+    m, e = base.dim, model.total.dim
     indices = range(len(summands))
     ident = PolyMap.identity(e)
     return BiproductBundle(
-        sum=sum_bundle,
+        model=model,
+        total=model.total,
         summands=summands,
         projections=tuple(PolyMap.selection(e, _positions(summands, m, i)) for i in indices),
         injections=tuple(_section(summands, m, i) for i in indices),
@@ -232,17 +247,31 @@ def recognize_biproduct(
 ) -> Recognition:
     """Decide whether the projections present ``total`` as a Whitney sum.
 
-    Assembles the comparison map onto the canonical concatenated model and
-    inverts it with ``invert_polymap``.  On success the canonical structure
-    is transported back across the comparison isomorphism.  When the
-    inverter raises ``NotInvertible``, the "comparison inversion" record
-    fails with its witness, or is cannot-certify when only the degree
-    budget ran out, and the recognition carries the exception as its
-    ``refutation``.
+    Assembles the comparison map psi onto the canonical concatenated model C
+    and inverts it with ``invert_polymap``.  When the inverter raises
+    ``NotInvertible``, the "comparison inversion" record fails with its
+    witness, or is cannot-certify when only the degree budget ran out, and
+    the recognition carries the exception as its ``refutation``.
 
     The "tangential" record is decided by the returned inverse: T is a
     functor on polynomial maps, so T(psi) T(psi^-1) = T(psi psi^-1) = T(1),
     the identity, once ``invert_polymap`` has returned psi^-1.
+
+    The biproduct laws are decided on C.  Once the "common base" records
+    pass, the i-th given projection is psi pi_i, with pi_i the model's
+    projection: psi is the common base map followed by each projection's
+    fibre block.  The i-th injection is iota_i psi^-1 by construction, and
+    the sum's zero and addition are C's conjugated by psi.  So each
+    retraction and annihilation composite iota_i psi^-1 psi pi_j is C's
+    iota_i pi_j, and the sum's resolution of identity is C's between psi
+    and psi^-1: each law holds on the sum exactly when it holds on C.  The
+    record names and laws are the same on both sides and a pass carries no
+    witness, so a passing report is the sum's byte for byte.  When a law
+    fails, the laws are decided again on the sum itself, built then, so
+    that the witnesses name coordinates of ``total``.  The "standard
+    position" record needs only the sum's projection psi q_C, the common
+    base map: the sum is in standard position when that is a coordinate
+    selection.
     """
     rep = Report(subject="biproduct recognition")
     summands = tuple(summands)
@@ -254,12 +283,11 @@ def recognize_biproduct(
     if canon is None:
         rep.check("arity", "nonempty summand list", False, "no summands given")
         return Recognition(rep, None)
-    m = canon.sum.base.dim
     if not rep.check(
         "dimension count",
         "total dimension equals base plus fibre blocks",
-        total.dim == canon.sum.total.dim,
-        f"{total.dim} != {canon.sum.total.dim}",
+        total.dim == canon.total.dim,
+        f"{total.dim} != {canon.total.dim}",
     ):
         return Recognition(rep, None)
     base_maps = [compose(p, s.q) for p, s in zip(projections, summands)]
@@ -282,21 +310,25 @@ def recognize_biproduct(
         return Recognition(rep, None, exc)
     rep.check("comparison isomorphism", "two-sided polynomial inverse found", True, None)
     rep.check("tangential", "the comparison map stays invertible under T", True)
-    try:
-        sum_here = transport_bundle(canon.sum, psi, psi_inv, total)
-    except ShapeError as exc:
-        rep.cannot_certify("standard position", "transported projection is a coordinate selection", str(exc))
+    # psi q_C, the sum's projection, is the common base map
+    if base_maps[0].selected is None:
+        rep.cannot_certify(
+            "standard position",
+            "transported projection is a coordinate selection",
+            "transported projection is not a coordinate selection",
+        )
         return Recognition(rep, None)
-    injections = tuple(compose(inj, psi_inv) for inj in canon.injections)
     bp = BiproductBundle(
-        sum=sum_here,
+        model=canon.model,
+        total=total,
         summands=summands,
         projections=projections,
-        injections=injections,
+        injections=tuple(compose(inj, psi_inv) for inj in canon.injections),
         to_canonical=psi,
         from_canonical=psi_inv,
     )
-    rep.extend(biproduct_laws(bp))
+    laws = biproduct_laws(canon)
+    rep.extend(laws if laws.passed else biproduct_laws(bp))
     return Recognition(rep, bp if rep.passed else None)
 
 
@@ -335,7 +367,7 @@ def verify_sum(bp: BiproductBundle) -> Report:
     does not on mu.  A sum built by ``biproduct`` is C itself, decided
     once when it passes.
     """
-    report = verify_bundle(concatenated(bp.summands, bp.sum.base))
+    report = verify_bundle(bp.model)
     return report if report.passed else verify_bundle(bp.sum)
 
 
@@ -343,8 +375,8 @@ def partial_bundle(bp: BiproductBundle, j: int) -> DiffBundle:
     """The j-th partial bundle: over that summand, it fixes its block and adds the rest."""
     if not 0 <= j < len(bp.summands):
         raise ShapeError(f"partial-bundle index {j} out of range")
-    canon = concatenated(bp.summands, bp.sum.base, fixed=j)
-    return transport_bundle(canon, bp.to_canonical, bp.from_canonical, bp.sum.total)
+    canon = concatenated(bp.summands, bp.model.base, fixed=j)
+    return transport_bundle(canon, bp.to_canonical, bp.from_canonical, bp.total)
 
 
 def partial_add(f: PolyMap, g: PolyMap, bp: BiproductBundle, j: int) -> PolyMap:

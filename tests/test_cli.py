@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line front end and its exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -7,7 +8,7 @@ import re
 import pytest
 
 from tangentcat import serialize
-from tangentcat.cli import main
+from tangentcat.cli import build_parser, main
 from tangentcat.polycore import Polynomial, PolyMap
 from tangentcat.tangent import Space
 from tangentcat.connection import Connection, canonical_connection, christoffel_connection
@@ -218,6 +219,18 @@ def test_degree_guard_rejects_high_degree(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_the_default_guard_returns_after_a_raised_one(tmp_path, capsys):
+    """The parser is shared between calls; a flag given once does not stay set."""
+    x = Polynomial.variable(1, 0)
+    steep = x
+    for _ in range(9):
+        steep = steep * x  # degree 10
+    path = write_connection(tmp_path, christoffel_connection(Space.euclidean(1), (((steep,),),)))
+    assert main(["--max-degree", "20", "verify", path]) == 0
+    assert main(["verify", path]) == 1
+    assert "degree" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- derive-h
 
 
@@ -320,6 +333,21 @@ def test_decompose_bad_point_exits_1(tmp_path, capsys):
         assert "coordinate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, transports", [("verify", 2), ("total-bundle", 3)])
+def test_only_the_bundles_that_are_read_are_transported(tmp_path, monkeypatch, capsys, command, transports):
+    """Both commands transport the two partial bundles onto TE; only
+    total-bundle, whose sidecar holds the sum, transports the sum too."""
+    from tangentcat import whitney
+
+    moves = []
+    transport = whitney.transport_bundle
+    monkeypatch.setattr(whitney, "transport_bundle", lambda *args: moves.append(args) or transport(*args))
+    path = write_connection(tmp_path, christoffel_linear())
+    assert main(["--format", "json", command, path]) == 0
+    assert len(moves) == transports
+    capsys.readouterr()
+
+
 def test_verify_checks_vertical_and_effectiveness_once(tmp_path, monkeypatch, capsys):
     import sys
 
@@ -362,6 +390,25 @@ def test_verify_checks_vertical_and_effectiveness_once(tmp_path, monkeypatch, ca
 def test_demos_pass(name, capsys):
     assert main(["demo", name]) == 0
     assert "verdict: pass" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------------- parser
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "json", "verify"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["--format", "json", "demo", "canonical"]) == 0
+    # the digest tests/test_pinned_output.py pins for this demo
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "4ca6b60da3ddc14d815135bf971573201628a5a9f7e291799eb423e5339bbfba"
+    )
 
 
 def test_demo_json_output_is_stable(capsys):

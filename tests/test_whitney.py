@@ -223,6 +223,20 @@ def test_recognize_rejects_mismatched_bases():
     assert rec.report.verdict is Status.FAIL
 
 
+def test_a_sum_off_standard_position_cannot_be_certified():
+    # the common base map x -> 2x inverts, but it is not a coordinate selection
+    tv = trivial_bundle(Space.euclidean(1), 1)
+    projections = [PolyMap.from_components(3, [x(3, 0).scale(2), x(3, k)]) for k in (1, 2)]
+    rec = recognize_biproduct(biproduct([tv, tv]).sum.total, projections, [tv, tv])
+    assert rec.biproduct is None
+    record = rec.report.records[-1]
+    assert (record.name, record.status, record.witness) == (
+        "standard position",
+        Status.CANNOT_CERTIFY,
+        "transported projection is not a coordinate selection",
+    )
+
+
 # ---------------------------------------------------------- partial bundles
 
 
@@ -381,8 +395,7 @@ def _presented(summands):
         3, [v[0], v[1].scale(-1) - v[0] * v[0], (v[2] - v[0] + v[1] + v[0] * v[0]).scale(Fraction(1, 2))]
     )
     assert map_equal(compose(psi, psi_inv), PolyMap.identity(3))
-    moved = transport_bundle(bp.sum, psi, psi_inv, bp.sum.total)
-    return replace(bp, sum=moved, to_canonical=psi, from_canonical=psi_inv)
+    return replace(bp, to_canonical=psi, from_canonical=psi_inv)
 
 
 def _spy_on_verify_bundle(monkeypatch):
@@ -437,3 +450,59 @@ def test_a_failing_sum_is_reported_on_its_own_coordinates(monkeypatch):
     seen = _spy_on_verify_bundle(monkeypatch)
     assert verify_sum(bp).to_dict() == expected.to_dict()
     assert len(seen) == 2 and seen[1] is bp.sum
+
+
+# ------------------------------------------------- the sum, built when read
+
+
+def _comparison(presentation, summands):
+    """psi and its inverse for a permuted or a triangular presentation of a 3-dimensional sum."""
+    if presentation == "permuted":
+        perm = PolyMap.selection(3, [0, 2, 1])
+        return perm, perm
+    bp = _presented(summands)
+    return bp.to_canonical, bp.from_canonical
+
+
+def _spy_on_transport(monkeypatch):
+    moves = []
+    transport = whitney.transport_bundle
+    monkeypatch.setattr(whitney, "transport_bundle", lambda *args: moves.append(args) or transport(*args))
+    return moves
+
+
+@pytest.mark.parametrize("presentation", ["permuted", "triangular"])
+def test_a_recognized_sum_is_transported_when_read(presentation, monkeypatch):
+    summands = [tangent_bundle(Space.euclidean(1)), trivial_bundle(Space.euclidean(1), 1)]
+    canon = biproduct(summands)
+    psi, psi_inv = _comparison(presentation, summands)
+    moves = _spy_on_transport(monkeypatch)
+    rec = recognize_biproduct(canon.total, [compose(psi, p) for p in canon.projections], summands)
+    assert rec.report.verdict is Status.PASS and moves == []
+    assert map_equal(rec.biproduct.to_canonical, psi)
+    eager = transport_bundle(canon.sum, psi, psi_inv, canon.total)
+    assert bundle_difference(rec.biproduct.sum, eager) is None
+    assert rec.biproduct.sum is rec.biproduct.sum and len(moves) == 1
+
+
+def test_a_failing_law_is_reported_on_the_presented_sum():
+    # zeta puts the fibre's zero at w = x: the resolution of identity fails,
+    # with a witness on the presented coordinates that is not the model's
+    tv = trivial_bundle(Space.euclidean(1), 1)
+    summands = [replace(tv, zeta=PolyMap.from_components(1, [x(1, 0), x(1, 0)])), tangent_bundle(Space.euclidean(1))]
+    canon = biproduct(summands)
+    psi, psi_inv = _comparison("triangular", summands)
+    projections = tuple(compose(psi, p) for p in canon.projections)
+    rec = recognize_biproduct(canon.total, projections, summands)
+    presented = replace(
+        canon,
+        projections=projections,
+        injections=tuple(compose(inj, psi_inv) for inj in canon.injections),
+        to_canonical=psi,
+        from_canonical=psi_inv,
+    )
+    expected = biproduct_laws(presented)
+    assert expected.verdict is Status.FAIL and rec.biproduct is None
+    assert expected.to_dict() != biproduct_laws(canon).to_dict()
+    checks = rec.report.to_dict()["checks"]
+    assert checks[-len(expected.records):] == expected.to_dict()["checks"]
