@@ -38,7 +38,8 @@ def _exact(c: int | Fraction) -> int | Fraction:
 def _canonical_terms(arity: int, terms: Mapping[Exponent, Fraction | int]) -> tuple[Term, ...]:
     items = []
     for exps, coeff in terms.items():
-        coeff = _exact(Fraction(coeff))
+        if type(coeff) is not int:
+            coeff = _exact(Fraction(coeff))
         if coeff == 0:
             continue
         if len(exps) != arity:
@@ -100,6 +101,7 @@ class Polynomial:
         return Polynomial(arity, _canonical_terms(arity, terms))
 
     @staticmethod
+    @cache
     def zero(arity: int) -> "Polynomial":
         return Polynomial(arity, ())
 
@@ -115,6 +117,15 @@ class Polynomial:
         exps = [0] * arity
         exps[index] = 1
         return Polynomial(arity, ((tuple(exps), 1),))
+
+    @cached_property
+    def bare(self) -> Optional[int]:
+        """The index i when this polynomial is the variable x_i with coefficient 1, else None."""
+        if len(self.terms) == 1:
+            exps, coeff = self.terms[0]
+            if coeff == 1 and sum(exps) == 1:
+                return exps.index(1)
+        return None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -196,7 +207,12 @@ def _substitute_all(
 ) -> tuple[Polynomial, ...]:
     """Substitute ``args`` into each of ``polys``, whose arity is ``len(args)``.
 
-    Two paths, neither of which builds an intermediate ``Polynomial``: when
+    A zero polynomial gives the zero of the new arity, and a bare variable
+    x_i gives ``args[i]`` itself, shared and not rebuilt: it is canonical
+    and immutable.  Both skip the two paths below; the structural maps
+    (lifts, zero sections, injections, fibre powers) are made mostly of
+    such components.  The rest take one of two paths, neither of which
+    builds an intermediate ``Polynomial``: when
     every argument is a bare variable (a coordinate selection or a padding),
     ``idx`` holds their indices and the substitution is a reindexing of
     exponents; otherwise ``idx`` is None and the powers of
@@ -208,6 +224,12 @@ def _substitute_all(
     one = (((0,) * new_arity, 1),)
     powers = [[one, a.terms] for a in args]  # powers[i][e] = args[i]^e
     for p in polys:
+        if not p.terms:
+            out.append(Polynomial.zero(new_arity))
+            continue
+        if (i := p.bare) is not None:
+            out.append(args[i])
+            continue
         acc: dict[Exponent, int | Fraction] = {}
         get = acc.get
         if idx is not None:
@@ -279,8 +301,10 @@ def compose(g: PolyMap, f: PolyMap) -> PolyMap:
 
     When f is a coordinate selection the composite is g's components picked
     by index.  Otherwise all of f's components go through one
-    ``_substitute_all`` call, which reindexes exponents when g is a
-    selection and else shares the powers of g's components among them.
+    ``_substitute_all`` call: a zero component of f gives zero and a bare
+    variable x_i gives g's i-th component itself, with no arithmetic; the
+    rest are reindexed when g is a selection and else share the powers of
+    g's components among them.
     Only the shapes are checked: canonical inputs give a canonical result.
     """
     if g.codomain_dim != f.domain_dim:
@@ -337,15 +361,8 @@ def first_difference(f: PolyMap, g: PolyMap) -> Optional[str]:
 
 def _variable_indices(polys: Sequence[Polynomial]) -> Optional[tuple[int, ...]]:
     """If every polynomial is a bare variable, return the variables' indices."""
-    out = []
-    for c in polys:
-        if len(c.terms) != 1:
-            return None
-        exps, coeff = c.terms[0]
-        if sum(exps) != 1 or coeff != 1:
-            return None
-        out.append(exps.index(1))
-    return tuple(out)
+    out = tuple(c.bare for c in polys)
+    return None if None in out else out
 
 
 def pair_into(

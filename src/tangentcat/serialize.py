@@ -3,10 +3,13 @@
 Coefficients serialize as exact fraction strings ("3", "-3/7"); any other
 notation (decimals, exponents, whitespace) is rejected on input, and so are
 JSON booleans where a count or an index is expected; a layout block is a
-[name, positive size] pair.  A connection object has ``bundle``, ``K``, an
-optional ``H`` and no other key (K encodes the Christoffel symbols, so there
-is no ``gamma``); every other object's fields are all required.  All encoders
-are deterministic so that identical objects always produce identical bytes.
+[name, positive size] pair.  A coefficient is parsed straight into the
+kernel's canonical type, an ``int`` when integral and else a ``Fraction``,
+so "+3", "007" and "4/2" all read as the int they denote.  A connection
+object has ``bundle``, ``K``, an optional ``H`` and no other key (K encodes
+the Christoffel symbols, so there is no ``gamma``); every other object's
+fields are all required.  All encoders are deterministic so that identical
+objects always produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .polycore import PolyMap, Polynomial, ShapeError
+from .polycore import PolyMap, Polynomial, ShapeError, _exact
 from .tangent import Space
 from .dbundle import DiffBundle
 from .connection import Connection
@@ -40,13 +43,24 @@ def _expect(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
-def fraction_from_str(s: Any, where: str) -> Fraction:
+def fraction_from_str(s: Any, where: str) -> int | Fraction:
+    """The coefficient a fraction string denotes, in the kernel's canonical type.
+
+    That is an ``int`` when the value is integral and else a ``Fraction``
+    with denominator > 1.  The regex has validated the digits, so ``int``
+    reads them.  A zero denominator, or more digits than the interpreter
+    converts to an ``int``, raises ``SerializationError``.
+    """
     if not isinstance(s, str) or not _FRACTION.fullmatch(s):
         raise SerializationError(f"{where}: coefficients must be fraction strings")
+    num, _, den = s.partition("/")
     try:
-        return Fraction(s)
-    except ZeroDivisionError as exc:
-        raise SerializationError(f"{where}: bad coefficient {s!r}") from exc
+        n, d = int(num), int(den or 1)
+    except ValueError as exc:
+        raise SerializationError(f"{where}: coefficient of {len(s)} characters has too many digits") from exc
+    if not d:
+        raise SerializationError(f"{where}: bad coefficient {s!r}")
+    return n if d == 1 else _exact(Fraction(n, d))
 
 
 def poly_to_json(p: Polynomial) -> dict:
@@ -77,7 +91,7 @@ def poly_from_json(obj: Any, where: str = "polynomial") -> Polynomial:
             raise SerializationError(f"{spot}: exps must be {arity} natural numbers")
         coeff = fraction_from_str(_expect(t, "coeff", spot), spot)
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms[key] + coeff if key in terms else coeff
     return Polynomial.from_terms(arity, terms)
 
 

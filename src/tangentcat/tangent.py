@@ -77,7 +77,9 @@ def T_map(f: PolyMap) -> PolyMap:
     term c x^e of f_i to the terms (c e_j) x^(e - 1_j) t_j; distinct
     (term, j) pairs give distinct monomials, so these only need sorting.
     Nothing is substituted or validated: f is canonical, so the result is.
-    T of a coordinate selection selects the same coordinates of both blocks.
+    T of a coordinate selection selects the same coordinates of both blocks;
+    in any other map a bare component x_i gives x_i and t_i, and a zero
+    component gives two zeros, without either computation.
     """
     m, idx = f.domain_dim, f.selected
     if idx is not None:
@@ -86,6 +88,14 @@ def T_map(f: PolyMap) -> PolyMap:
     t = [pad[:j] + (1,) + pad[j + 1 :] for j in range(m)]
     base, tangent = [], []
     for comp in f.components:
+        if (i := comp.bare) is not None:
+            base.append(Polynomial.variable(2 * m, i))
+            tangent.append(Polynomial.variable(2 * m, m + i))
+            continue
+        if not comp.terms:
+            base.append(Polynomial.zero(2 * m))
+            tangent.append(Polynomial.zero(2 * m))
+            continue
         base.append(Polynomial(2 * m, tuple((e + pad, c) for e, c in comp.terms)))
         acc: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in comp.terms:

@@ -31,6 +31,16 @@ def polymaps(domain: int, codomain: int, max_degree: int = 2, max_terms: int = 3
     ).map(lambda comps: PolyMap(domain, comps))
 
 
+def trivial_mixed_polymaps(domain: int, codomain: int, max_degree: int = 2, max_terms: int = 3):
+    """Maps whose components mix zeros, bare variables (permuted and repeated) and general polynomials."""
+    component = st.one_of(
+        st.just(Polynomial.zero(domain)),
+        st.integers(min_value=0, max_value=domain - 1).map(lambda i: Polynomial.variable(domain, i)),
+        polynomials(domain, max_degree, max_terms),
+    )
+    return st.tuples(*([component] * codomain)).map(lambda comps: PolyMap(domain, comps))
+
+
 def rational_points(dim: int):
     return st.tuples(
         *([st.fractions(min_value=-9, max_value=9, max_denominator=7)] * dim)

@@ -146,6 +146,24 @@ def test_selections_are_recognized_once_per_map():
     assert sel == PolyMap.selection(3, (2, 0)) and "selected" not in repr(sel)
 
 
+def test_bare_is_the_index_of_a_bare_variable():
+    assert v(3, 2).bare == 2
+    assert Polynomial.from_terms(3, {(0, 1, 0): Fraction(2, 2)}).bare == 1
+    x = v(2, 1)
+    for p in (x.scale(2), x + Polynomial.constant(2, 1), x * x, Polynomial.constant(2, 1), Polynomial.zero(2)):
+        assert p.bare is None
+    assert Polynomial.zero(2) is Polynomial.zero(2)
+
+
+def test_compose_shares_the_components_that_bare_variables_pick():
+    g = PolyMap(2, (v(2, 0) * v(2, 1), v(2, 1) + Polynomial.constant(2, 1)))
+    f = PolyMap(2, (v(2, 1), v(2, 0) * v(2, 1), Polynomial.zero(2), v(2, 0), v(2, 1)))
+    out = compose(g, f)
+    assert out.components[0] is g.components[1] and out.components[4] is g.components[1]
+    assert out.components[3] is g.components[0]
+    assert out.components[2] == Polynomial.zero(2)
+
+
 def test_compose_shape_error():
     with pytest.raises(ShapeError):
         compose(PolyMap.identity(2), PolyMap.identity(3))

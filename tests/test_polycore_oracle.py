@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from tangentcat.polycore import NotInvertible, Polynomial, PolyMap, compose, compose_all, invert_polymap, jacobian
 from tangentcat.tangent import T_map
 
-from conftest import polymaps, polynomials
+from conftest import polymaps, polynomials, trivial_mixed_polymaps
 
 sympy = pytest.importorskip("sympy")
 
@@ -154,6 +154,44 @@ def test_compose_matches_sympy(g, f):
     assert_canonical_map(out)
     for comp, expr in zip(out.components, _compose_expr(g, f)):
         assert same(comp, expr, Y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polymaps(3, 2, max_degree=2), trivial_mixed_polymaps(2, 4, max_degree=3))
+def test_compose_with_trivial_components_after_a_general_map(g, f):
+    # A zero component of f gives zero and a bare x_i gives g's i-th component.
+    out = compose(g, f)
+    assert out.domain_dim == 3 and out.codomain_dim == 4
+    assert_canonical_map(out)
+    for comp, expr in zip(out.components, _compose_expr(g, f)):
+        assert same(comp, expr, Y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=3), st.data())
+def test_compose_with_trivial_components_after_a_selection(idx, data):
+    g = PolyMap.selection(3, idx)
+    f = data.draw(trivial_mixed_polymaps(len(idx), 3, max_degree=3))
+    out = compose(g, f)
+    assert out.domain_dim == 3
+    assert_canonical_map(out)
+    for comp, expr in zip(out.components, _compose_expr(g, f)):
+        assert same(comp, expr, Y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trivial_mixed_polymaps(2, 3, max_degree=3))
+def test_T_map_of_trivial_components_matches_its_definition(f):
+    # A bare x_i gives x_i and t_i, and a zero gives two zeros.
+    tf = T_map(f)
+    assert tf.domain_dim == 4 and tf.codomain_dim == 6
+    assert_canonical_map(tf)
+    x, t = X[:2], X[2:]
+    for i, comp in enumerate(f.components):
+        expr = to_sympy(comp)
+        assert same(tf.components[i], expr)
+        tangent = sum(sympy.diff(expr, x[j]) * t[j] for j in range(2))
+        assert same(tf.components[3 + i], tangent)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """Round-trip and schema-error coverage for the JSON interchange layer."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangentcat import serialize
+from tangentcat.cli import main
 from tangentcat.polycore import Polynomial, PolyMap, map_equal
 from tangentcat.tangent import Space
 from tangentcat.dbundle import bundle_difference, tangent_bundle, trivial_bundle
@@ -34,6 +36,67 @@ def test_fraction_strings_are_exact():
     assert str(Fraction(-3, 7)) == "-3/7"
     assert serialize.fraction_from_str("5/10", "here") == Fraction(1, 2)
     assert serialize.fraction_from_str("4", "here") == Fraction(4)
+
+
+def test_coefficients_parse_to_the_canonical_type():
+    for text, value in (("+3", 3), ("007", 7), ("4/2", 2), ("-0", 0), ("0/5", 0)):
+        got = serialize.fraction_from_str(text, "here")
+        assert got == value and type(got) is int
+    got = serialize.fraction_from_str("-6/4", "here")
+    assert got == Fraction(-3, 2) and type(got) is Fraction
+    doc = {"arity": 1, "terms": [{"coeff": "-0", "exps": [1]}, {"coeff": "0/5", "exps": [0]}, {"coeff": "2", "exps": [2]}]}
+    assert serialize.poly_from_json(doc).terms == (((2,), 2),)
+
+
+def test_a_zero_denominator_exits_1_with_its_location(tmp_path, capsys):
+    doc = serialize.connection_to_json(canonical_connection(1))
+    doc["K"]["components"][0]["terms"][0]["coeff"] = "1/0"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: connection.K.components[0].terms[0]: bad coefficient '1/0'")
+
+
+def test_a_coefficient_with_too_many_digits_exits_1_with_its_location(tmp_path, capsys):
+    # int() refuses strings beyond the interpreter's digit limit with a ValueError.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts strings of any length to int")
+    doc = serialize.connection_to_json(canonical_connection(1))
+    doc["K"]["components"][0]["terms"][0]["coeff"] = "1/" + "3" * (limit + 1)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: connection.K.components[0].terms[0]: coefficient of")
+
+
+def test_respelt_coefficients_give_the_same_verify_bytes(tmp_path, capsys):
+    x = Polynomial.variable(1, 0)
+    doc = serialize.connection_to_json(christoffel_connection(Space.euclidean(1), (((x,),),)))
+    path = tmp_path / "doc.json"
+    path.write_text(serialize.dumps(doc))
+    assert main(["--format", "json", "verify", str(path)]) == 0
+    plain = capsys.readouterr().out
+    spellings = iter(["+1", "2/2", "007/7"] * 100)
+    respelt = 0
+
+    def respell(obj):
+        nonlocal respelt
+        if isinstance(obj, dict):
+            if obj.get("coeff") == "1":
+                obj["coeff"] = next(spellings)
+                respelt += 1
+            for value in obj.values():
+                respell(value)
+        elif isinstance(obj, list):
+            for value in obj:
+                respell(value)
+
+    respell(doc)
+    assert respelt >= 3
+    path.write_text(serialize.dumps(doc))
+    assert main(["--format", "json", "verify", str(path)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_decimal_coefficients_rejected():
