@@ -14,6 +14,7 @@ from .tangent import (
 )
 from .dbundle import (
     DiffBundle,
+    additive_morphism_report,
     check_tangent_axioms,
     linear_morphism_report,
     mu_map,

@@ -12,9 +12,14 @@ The module also implements the equivalence between such pairs and single maps
 K for which the three-way pairing (tangent projection, tangent of the bundle
 projection, K) is invertible: inverting that pairing exhibits TE as a Whitney
 sum of the bundle, the tangent bundle of the base, and the bundle again, and
-H is recovered as the injection of the first two summands.  All verdicts are
-exact: a pairing with no inverse fails with an exact refutation witness, and
-is cannot-certify only when the inverter's degree budget runs out.
+H is recovered as the injection of the first two summands.  The sum's two
+partial bundles, over E and over TM, must be the tangent bundle of E and T
+of the bundle; they are decided from K's additivity over both projections
+and four squares of the bundle's own structure, and are transported along
+the inverse pairing to be compared only when that does not decide them.
+All verdicts are exact: a pairing with no inverse fails with an exact
+refutation witness, and is cannot-certify only when the inverter's degree
+budget runs out.
 
 Coordinate conventions: the bundle must have its base coordinates leading, so
 E = (x, w), TE = (x, w, u, v) with u the tangent of x and v the tangent of w,
@@ -37,11 +42,14 @@ from .polycore import (
     compose,
     compose_all,
     eval_map,
+    map_equal,
     power_pair,
+    power_proj,
 )
 from .report import Report, Status
 from .dbundle import (
     DiffBundle,
+    additive_morphism_report,
     bundle_difference,
     linear_morphism_report,
     mu_map,
@@ -123,6 +131,18 @@ def section_target(b: DiffBundle) -> PolyMap:
     return PolyMap.selection(2 * e, list(range(e)) + list(range(e, e + m)))
 
 
+def _sources(b: DiffBundle) -> tuple[tuple[str, PolyMap, DiffBundle], ...]:
+    """The two bundles on TE that K maps into b, each with the map of bases under K.
+
+    T(b) lies over TM and K over p_M; the tangent bundle of E lies over E
+    and K over q.
+    """
+    return (
+        ("base projection", proj_p(b.base), b.tangent),
+        ("bundle projection", b.q, tangent_bundle(b.total)),
+    )
+
+
 def check_vertical(c: Connection) -> Report:
     """K retracts the lift and is linear over both relevant projections."""
     b = c.bundle
@@ -130,26 +150,11 @@ def check_vertical(c: Connection) -> Report:
     rep.check_equal(
         "retraction", "lift then K is the identity", compose(b.lift, c.K), PolyMap.identity(b.total.dim)
     )
-    rep.extend(
-        linear_morphism_report(
-            "over the tangent base projection",
-            c.K,
-            proj_p(b.base),
-            b.tangent,
-            b,
-        ),
-        prefix="linearity over the base projection: ",
-    )
-    rep.extend(
-        linear_morphism_report(
-            "over the bundle projection",
-            c.K,
-            b.q,
-            tangent_bundle(b.total),
-            b,
-        ),
-        prefix="linearity over the bundle projection: ",
-    )
+    for name, f, src in _sources(b):
+        rep.extend(
+            linear_morphism_report(f"over the {name}", c.K, f, src, b),
+            prefix=f"linearity over the {name}: ",
+        )
     return rep
 
 
@@ -226,6 +231,63 @@ class _Effectiveness:
     injections: Report = field(default_factory=lambda: Report(subject="injections"))
 
 
+def _partials_by_additivity(c: Connection) -> bool:
+    """Whether both partial-bundle records pass, decided without theta^-1.
+
+    It is asked once the vertical gate has passed and theta =
+    <p_E, T(q), K> : TE -> C = (x, w, u, k) has a two-sided inverse.  The
+    j-th record compares P_j, the model's partial bundle transported along
+    theta, with B_j: B_0 is the tangent bundle of E over E and B_1 is T(b)
+    over TM.  ``transport_bundle`` sets sigma' = kappa sigma_P theta^-1,
+    zeta' = zeta_P theta^-1 and lift' = theta lift_P T(theta^-1).  Since
+    theta theta^-1 = 1 and T(theta) T(theta^-1) = T(1) (T is a functor), the
+    record passes once
+
+        kappa sigma_P = sigma_B theta,  zeta_P = zeta_B theta,
+        theta lift_P = lift_B T(theta).
+
+    Compare both sides component by component over theta = (x, w, u, K_w):
+
+    - The x, w and u components of theta select p_E and T(q), so there
+      both sides read b's structure alone.  For j = 0 they agree as they
+      stand.  For j = 1, P_1 is built from b's fibre parts alone and B_1 =
+      T(b) from its whole structure; they agree when b lies over its base
+      as a differential bundle does: zeta q = 1, sigma q = pi_1 q (axiom
+      0), lift p_E = q zeta and lift T(q) = q 0_M (the base squares of
+      axioms 3 and 2; the last says lift's dx block is zero).
+    - The gate's projection squares make K's base part x, so the k
+      component of the sigma equation is that of sigma_B K = pi_1 K +
+      pi_2 K in b, K's addition preservation over B_j.
+    - The k component of the zeta equation is that of zeta_B K = f zeta,
+      K's zero preservation, with f = q for j = 0 and f = p_M for j = 1.
+    - The lift equation's k component has a point part and a tangent part.
+      Its point part is K at lift_B p = q_B zeta_B (for j = 1 by the
+      squares of b above): zero preservation again.  Its tangent part is
+      that of the lift square lift_B T(K) = K lift, which the vertical gate
+      has passed over both B_j.
+
+    So both records pass when those four squares of b hold and K is an
+    additive morphism over both projections (``additive_morphism_report``;
+    its base square is the gate's projection square).  Between differential
+    bundles a linear morphism is additive (Cockett and Cruttwell), so past
+    the gate this fails only on a bundle that is not one.  A passing record
+    carries no witness, so its bytes are the transported comparison's; when
+    this returns False the caller transports both partial bundles and
+    compares them, so every witness is unchanged.
+    """
+    b = c.bundle
+    q, e = b.q, b.total.dim
+    structural = (
+        map_equal(compose(b.zeta, q), PolyMap.identity(b.base.dim))
+        and map_equal(compose(b.sigma, q), compose(power_proj(e, b.base_coords, 2, 1), q))
+        and map_equal(compose(b.lift, proj_p(b.total)), compose(q, b.zeta))
+        and map_equal(compose(b.lift, T_map(q)), compose(q, zero_0(b.base)))
+    )
+    return structural and all(
+        additive_morphism_report("additivity", c.K, f, src, b).passed for _, f, src in _sources(b)
+    )
+
+
 def _effectiveness(c: Connection, vert: Report) -> _Effectiveness:
     """Invert theta past the gate of ``vert``, the ``check_vertical(c)`` report."""
     b = c.bundle
@@ -258,22 +320,14 @@ def _effectiveness(c: Connection, vert: Report) -> _Effectiveness:
             want,
         )
     rep.extend(injections)
-    first = partial_bundle(recog.biproduct, 0)
-    second = partial_bundle(recog.biproduct, 1)
-    d1 = bundle_difference(first, tangent_bundle(b.total))
-    rep.check(
-        "first partial bundle",
-        "equals the tangent bundle of the total space",
-        d1 is None,
-        d1,
+    decided = _partials_by_additivity(c)
+    partials = (
+        ("first partial bundle", "equals the tangent bundle of the total space", tangent_bundle(b.total)),
+        ("second partial bundle", "equals the tangent of the bundle", b.tangent),
     )
-    d2 = bundle_difference(second, b.tangent)
-    rep.check(
-        "second partial bundle",
-        "equals the tangent of the bundle",
-        d2 is None,
-        d2,
-    )
+    for j, (name, law, want) in enumerate(partials):
+        d = None if decided else bundle_difference(partial_bundle(recog.biproduct, j), want)
+        rep.check(name, law, d is None, d)
     decomp = None
     if rep.passed:
         decomp = Decomposition(biproduct=recog.biproduct)
@@ -285,10 +339,11 @@ def check_effective(c: Connection) -> tuple[Report, Optional[Decomposition]]:
 
     The vertical identities are checked first, as the gate: the pairing is
     inverted only when they hold.  The sum's biproduct laws are decided on
-    its concatenated model, and only the two partial bundles are transported
-    onto TE; the sum itself is transported when the decomposition's
-    ``total`` is first read.  The decomposition is returned only when every
-    record passes.
+    its concatenated model.  The two partial bundles are decided from K's
+    additivity (``_partials_by_additivity``) and transported onto TE to be
+    compared only when that does not decide them; the sum itself is
+    transported when the decomposition's ``total`` is first read.  The
+    decomposition is returned only when every record passes.
     """
     eff = _effectiveness(c, check_vertical(c))
     return eff.report, eff.decomposition

@@ -100,11 +100,14 @@ def test_verify_H_off_the_base_point_exits_2(tmp_path, capsys, component):
     assert "inconsistent values" in record["witness"]
 
 
-# sigma is defined on (x, t1, t2) and zeta on (x); each mutant adds the last
-# variable to one component, so the bundle is not a differential bundle.
+# sigma is defined on (x, t1, t2), zeta on (x) and lambda = (x, 0, 0, t) on
+# (x, t), one component per block; each mutant adds the last variable to one
+# component, so the bundle is not a differential bundle.
 @pytest.mark.parametrize("command", ["verify", "derive-h", "total-bundle", "decompose"])
 @pytest.mark.parametrize(
-    "field, slot", [("sigma", 1), ("sigma", 0), ("zeta", 1)], ids=["sigma-fibre", "sigma-base", "zeta-fibre"]
+    "field, slot",
+    [("sigma", 1), ("sigma", 0), ("zeta", 1), ("lambda", 0), ("lambda", 1), ("lambda", 2), ("lambda", 3)],
+    ids=["sigma-fibre", "sigma-base", "zeta-fibre", "lambda-x", "lambda-t", "lambda-dx", "lambda-dt"],
 )
 @pytest.mark.parametrize(
     "connection", [canonical_connection(1), christoffel_linear()], ids=["canonical", "christoffel"]
@@ -333,17 +336,31 @@ def test_decompose_bad_point_exits_1(tmp_path, capsys):
         assert "coordinate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, transports", [("verify", 2), ("total-bundle", 3)])
-def test_only_the_bundles_that_are_read_are_transported(tmp_path, monkeypatch, capsys, command, transports):
-    """Both commands transport the two partial bundles onto TE; only
-    total-bundle, whose sidecar holds the sum, transports the sum too."""
+@pytest.mark.parametrize(
+    "command, broken, code, transports",
+    [("verify", False, 0, 0), ("total-bundle", False, 0, 1), ("verify", True, 2, 2), ("total-bundle", True, 2, 2)],
+    ids=["verify", "total-bundle", "verify-sigma-base", "total-bundle-sigma-base"],
+)
+def test_only_the_bundles_that_are_read_are_transported(
+    tmp_path, monkeypatch, capsys, command, broken, code, transports
+):
+    """A connection's two partial bundles are decided from K's additivity and
+    transported onto TE only when that does not decide them, as when sigma
+    moves the base point; only total-bundle, whose sidecar holds the sum,
+    transports the sum, and only when it passes."""
     from tangentcat import whitney
 
     moves = []
     transport = whitney.transport_bundle
     monkeypatch.setattr(whitney, "transport_bundle", lambda *args: moves.append(args) or transport(*args))
-    path = write_connection(tmp_path, christoffel_linear())
-    assert main(["--format", "json", command, path]) == 0
+    doc = serialize.connection_to_json(christoffel_linear())
+    if broken:
+        sigma = doc["bundle"]["sigma"]
+        base = serialize.poly_from_json(sigma["components"][0])
+        sigma["components"][0] = serialize.poly_to_json(base + Polynomial.variable(sigma["dom"], 2))
+    path = tmp_path / "conn.json"
+    path.write_text(serialize.dumps(doc))
+    assert main(["--format", "json", command, str(path)]) == code
     assert len(moves) == transports
     capsys.readouterr()
 

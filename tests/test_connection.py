@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,14 @@ from tangentcat.polycore import (
     eval_map,
     map_equal,
 )
-from tangentcat.tangent import Space
+from tangentcat.tangent import Space, T_map, T_obj, proj_p
 from tangentcat import serialize
-from tangentcat.dbundle import tangent_bundle, trivial_bundle, verify_bundle
-from tangentcat.whitney import biproduct, partial_bundle
+from tangentcat.dbundle import DiffBundle, bundle_difference, tangent_bundle, trivial_bundle, verify_bundle
+from tangentcat.whitney import biproduct, partial_bundle, recognize_biproduct
 from tangentcat.connection import (
     Connection,
+    _effectiveness,
+    _partials_by_additivity,
     canonical_connection,
     check_effective,
     check_horizontal,
@@ -188,6 +191,87 @@ def test_partial_bundle_bytes_are_pinned():
         "8b085302a17c3793783d7207a0c1795d08ae4141112ca21a88bf8b5886a9dc0c",
         "b77af603516342eddc0823e66493899f4060494c7182a135347f1b4cf86d100c",
     ]
+
+
+def _perturbed_connection(c, rng):
+    """c with one monomial c y or c y z added to one component of K, sigma, zeta or lift.
+
+    Half the K perturbations add a Christoffel-shaped term g(x) t_i u_j to a
+    fibre component, which keeps the vertical gate passing.
+    """
+    field = rng.choice(("K", "sigma", "zeta", "lift"))
+    b = c.bundle
+    m = c.K if field == "K" else getattr(b, field)
+    comps = list(m.components)
+    k = rng.randrange(len(comps))
+    dom = m.domain_dim
+    coeff = rng.choice((-2, -1, Fraction(1, 2), 1, 3))
+    if field == "K" and rng.random() < 0.5:
+        n = b.base.dim
+        k = n + rng.randrange(n)
+        term = x(dom, n + rng.randrange(n)) * x(dom, 2 * n + rng.randrange(n))
+        if rng.random() < 0.5:
+            term = term * x(dom, rng.randrange(n))
+    else:
+        term = x(dom, rng.randrange(dom))
+        if rng.random() < 0.5:
+            term = term * x(dom, rng.randrange(dom))
+    comps[k] = comps[k] + term.scale(coeff)
+    moved = PolyMap(dom, tuple(comps))
+    if field == "K":
+        return Connection(bundle=b, K=moved)
+    return Connection(bundle=replace(b, **{field: moved}), K=c.K)
+
+
+SWEEP_MODELS = {
+    "canonical n=1": lambda rng: canonical_connection(1),
+    "canonical n=2": lambda rng: canonical_connection(2),
+    "canonical n=3": lambda rng: canonical_connection(3),
+    "christoffel n=1": lambda rng: random_christoffel(1, rng),
+    "christoffel n=2": lambda rng: random_christoffel(2, rng),
+}
+
+
+@pytest.mark.parametrize("shortcut", [True, False], ids=["shortcut", "composites"])
+@pytest.mark.parametrize("name", sorted(SWEEP_MODELS))
+def test_partials_decided_by_additivity_agree_with_transport(name, shortcut, monkeypatch):
+    """Where K's additivity decides the two partial-bundle records, the
+    partial bundles transported along theta^-1 pass, and the records are
+    the transported comparison's, byte for byte, in every case.  Additivity
+    is decided by its fibrewise shortcut or, with that turned off, by its
+    composites."""
+    if not shortcut:
+        monkeypatch.setattr(DiffBundle, "adds_fibrewise", property(lambda self: False))
+    rng = random.Random(f"partials {name}")
+    decided = fallback = 0
+    for case in range(60):
+        c = SWEEP_MODELS[name](rng)
+        if case % 6:
+            c = _perturbed_connection(c, rng)
+        vert = check_vertical(c)
+        if not vert.passed:
+            continue
+        b = c.bundle
+        recog = recognize_biproduct(
+            T_obj(b.total), (proj_p(b.total), T_map(b.q), c.K), (b, tangent_bundle(b.base), b)
+        )
+        if recog.biproduct is None:
+            continue
+        moved = [
+            bundle_difference(partial_bundle(recog.biproduct, 0), tangent_bundle(b.total)),
+            bundle_difference(partial_bundle(recog.biproduct, 1), b.tangent),
+        ]
+        if _partials_by_additivity(c):
+            decided += 1
+            assert moved == [None, None], (case, c)
+        else:
+            fallback += 1
+        records = {r.name: r for r in _effectiveness(c, vert).report.records}
+        got = [records[f"{which} partial bundle"] for which in ("first", "second")]
+        assert [(r.status, r.witness) for r in got] == [
+            (Status.PASS, None) if d is None else (Status.FAIL, d) for d in moved
+        ], (case, c)
+    assert decided and fallback
 
 
 # ------------------------------------------------------- derived horizontals

@@ -14,9 +14,10 @@ from tangentcat.polycore import (
     eval_map,
     map_equal,
 )
-from tangentcat.tangent import Space, T_map, T_obj, add_plus, lift_l, zero_0
+from tangentcat.tangent import Space, T_map, T_obj, add_plus, lift_l, proj_p, zero_0
 from tangentcat.dbundle import (
     DiffBundle,
+    additive_morphism_report,
     bundle_difference,
     linear_morphism_report,
     mu_map,
@@ -259,3 +260,53 @@ def test_transport_preserves_and_reflects_every_axiom(name):
             assert here.to_dict() == there.to_dict()
         verdicts.append(here.verdict)
     assert Status.PASS in verdicts and Status.FAIL in verdicts
+
+
+def test_adds_fibrewise_reads_sigma_and_zeta():
+    tm = tangent_bundle(Space.euclidean(2))
+    assert tm.adds_fibrewise and tm.tangent.adds_fibrewise
+    assert biproduct([tm, trivial_bundle(Space.euclidean(2), 1)]).model.adds_fibrewise
+    sigma = PolyMap(6, tm.sigma.components[:2] + (tm.sigma.components[2] + x(6, 0) * x(6, 0),) + tm.sigma.components[3:])
+    assert not replace(tm, sigma=sigma).adds_fibrewise
+    zeta = PolyMap(2, tm.zeta.components[:3] + (x(2, 1),))
+    assert not replace(tm, zeta=zeta).adds_fibrewise
+
+
+def _additive_cases(b):
+    """(g, f, src, dst) of axioms 2 and 3 on b, and K of the flat connection over both projections."""
+    cases = [(b.lift, zero_0(b.base), b, b.tangent), (b.lift, b.zeta, b, tangent_bundle(b.total))]
+    if b == tangent_bundle(b.base):
+        n = b.base.dim
+        k = PolyMap.selection(4 * n, list(range(n)) + list(range(3 * n, 4 * n)))
+        cases += [(k, proj_p(b.base), b.tangent, b), (k, b.q, tangent_bundle(b.total), b)]
+    return cases
+
+
+@pytest.mark.parametrize("n, f", [(1, 1), (2, 2), (1, 2), (2, 1)])
+def test_fibrewise_additive_morphisms_skip_only_passing_composites(n, f, monkeypatch):
+    """additive_morphism_report gives the same records with and without the
+    shortcut for bundles that add as trivial bundles do.
+
+    g is perturbed by one term c y or c y z; a term of degree one in the
+    source fibre keeps the shortcut, any other breaks it or the base square.
+    """
+    b = tangent_bundle(Space.euclidean(n)) if n == f else trivial_bundle(Space.euclidean(n), f)
+    rng = random.Random(f"additive {n} {f}")
+    cases = []
+    for case in range(60):
+        g, base_map, src, dst = rng.choice(_additive_cases(b))
+        assert src.adds_fibrewise and dst.adds_fibrewise
+        if case % 4:
+            comps = list(g.components)
+            k = rng.randrange(len(comps))
+            term = x(g.domain_dim, rng.randrange(g.domain_dim))
+            if rng.random() < 0.5:
+                term = term * x(g.domain_dim, rng.randrange(g.domain_dim))
+            comps[k] = comps[k] + term.scale(rng.choice((-2, -1, Fraction(1, 2), 3)))
+            g = PolyMap(g.domain_dim, tuple(comps))
+        cases.append((g, base_map, src, dst))
+    shortcut = [additive_morphism_report("case", *case).to_dict() for case in cases]
+    monkeypatch.setattr(DiffBundle, "adds_fibrewise", property(lambda self: False))
+    assert shortcut == [additive_morphism_report("case", *case).to_dict() for case in cases]
+    verdicts = [r["verdict"] for r in shortcut]
+    assert verdicts.count("pass") > 15 and "fail" in verdicts
