@@ -145,8 +145,10 @@ def cmd_derive_h(args) -> int:
         return EXIT_FAIL
     out = _sidecar(args.path, "h")
     _atomic_write(out, serialize.dumps(serialize.map_to_json(full.H)))
-    report = check_horizontal(full)
-    report.extend(check_pair(full), prefix="pair: ")
+    # derive_horizontal returns H = iota_12 theta^-1 of an effective K only,
+    # so its records are decided by uniqueness (connection._horizontal_is_forced).
+    report = check_horizontal(full, decided=True)
+    report.extend(check_pair(full, decided=True), prefix="pair: ")
     _emit(report, args.format, extra={"written": out})
     return _exit_code(report)
 

@@ -12,11 +12,15 @@ The module also implements the equivalence between such pairs and single maps
 K for which the three-way pairing (tangent projection, tangent of the bundle
 projection, K) is invertible: inverting that pairing exhibits TE as a Whitney
 sum of the bundle, the tangent bundle of the base, and the bundle again, and
-H is recovered as the injection of the first two summands.  The sum's two
-partial bundles, over E and over TM, must be the tangent bundle of E and T
-of the bundle; they are decided from K's additivity over both projections
-and four squares of the bundle's own structure, and are transported along
-the inverse pairing to be compared only when that does not decide them.
+H is recovered as the injection of the first two summands.  That H is the
+only one an effective K admits, so ``verify_connection`` passes the
+horizontal and joint identities of an absent H, or of a supplied H equal to
+it, without computing them, and checks any other H identity by identity.
+The sum's two partial bundles, over E and over TM, must be the tangent
+bundle of E and T of the bundle; they are decided from K's additivity over
+both projections and four squares of the bundle's own structure, and are
+transported along the inverse pairing to be compared only when that does
+not decide them.
 All verdicts are exact: a pairing with no inverse fails with an exact
 refutation witness, and is cannot-certify only when the inverter's degree
 budget runs out.
@@ -48,6 +52,7 @@ from .polycore import (
 )
 from .report import Report, Status
 from .dbundle import (
+    LINEAR_SQUARES,
     DiffBundle,
     additive_morphism_report,
     bundle_difference,
@@ -158,62 +163,75 @@ def check_vertical(c: Connection) -> Report:
     return rep
 
 
-def check_horizontal(c: Connection) -> Report:
-    """H sections U and is linear over the total space and the tangent base."""
+def check_horizontal(c: Connection, *, decided: bool = False) -> Report:
+    """H sections U and is linear over the total space and the tangent base.
+
+    Every law is computed on the given H.  ``decided`` is for a caller that
+    knows H = iota_12 theta^-1 for an effective K (``_horizontal_is_forced``):
+    each law then passes without its composites being built.
+    """
     b = c.bundle
     rep = Report(subject="horizontal map")
     if c.H is None:
         rep.check("presence", "a horizontal map is supplied", False, "no H given")
         return rep
     hat = b.total.dim + b.base.dim
-    rep.check_equal(
-        "section", "H then <p_E, T(q)> is the identity", compose(c.H, section_target(b)), PolyMap.identity(hat)
+    rep.check_built(
+        "section",
+        "H then <p_E, T(q)> is the identity",
+        lambda: (compose(c.H, section_target(b)), PolyMap.identity(hat)),
+        decided,
     )
     # H is linear over both partial bundles of E x_M TM = E + TM, whose
     # concatenated model is E x_M TM itself.
     summands = (b, tangent_bundle(b.base))
-    rep.extend(
-        linear_morphism_report(
-            "over the total space",
-            c.H,
-            PolyMap.identity(b.total.dim),
-            concatenated(summands, b.base, fixed=0),
-            tangent_bundle(b.total),
-        ),
-        prefix="linearity over the total space: ",
+    over = (
+        ("total space", PolyMap.identity(b.total.dim), tangent_bundle(b.total)),
+        ("tangent base", PolyMap.identity(2 * b.base.dim), b.tangent),
     )
-    rep.extend(
-        linear_morphism_report(
-            "over the tangent base",
-            c.H,
-            PolyMap.identity(2 * b.base.dim),
-            concatenated(summands, b.base, fixed=1),
-            b.tangent,
-        ),
-        prefix="linearity over the tangent base: ",
-    )
+    for fixed, (name, f, dst) in enumerate(over):
+        prefix = f"linearity over the {name}: "
+        if decided:
+            for square, law in LINEAR_SQUARES:
+                rep.check(prefix + square, law, True)
+        else:
+            rep.extend(
+                linear_morphism_report(
+                    f"over the {name}", c.H, f, concatenated(summands, b.base, fixed=fixed), dst
+                ),
+                prefix=prefix,
+            )
     return rep
 
 
-def check_pair(c: Connection) -> Report:
-    """The joint identities for (K, H): compatibility and decomposition."""
+def check_pair(c: Connection, *, decided: bool = False) -> Report:
+    """The joint identities for (K, H): compatibility and decomposition.
+
+    Every law is computed on the given H unless ``decided``, as in
+    ``check_horizontal``.
+    """
     b = c.bundle
     rep = Report(subject="connection pair")
     if c.H is None:
         rep.check("presence", "a horizontal map is supplied", False, "no H given")
         return rep
     e = b.total.dim
-    rhs = compose_all(PolyMap.selection(e + b.base.dim, range(e)), b.q, b.zeta)
-    rep.check_equal("compatibility", "H then K factors through the zero section", compose(c.H, c.K), rhs)
 
-    def sides() -> tuple[PolyMap, PolyMap]:
+    def compatibility() -> tuple[PolyMap, PolyMap]:
+        return compose(c.H, c.K), compose_all(PolyMap.selection(e + b.base.dim, range(e)), b.q, b.zeta)
+
+    def decomposition() -> tuple[PolyMap, PolyMap]:
         # Parts that lie over different points of E cannot be added.
         vertical_part = compose(power_pair(e, b.base_coords, [c.K, proj_p(b.total)]), mu_map(b))
         horizontal_part = compose(section_target(b), c.H)
         return tangent_bundle(b.total).add(vertical_part, horizontal_part), PolyMap.identity(2 * e)
 
+    rep.check_built("compatibility", "H then K factors through the zero section", compatibility, decided)
     rep.check_built(
-        "decomposition of the identity", "vertical part plus horizontal part is the identity on TE", sides
+        "decomposition of the identity",
+        "vertical part plus horizontal part is the identity on TE",
+        decomposition,
+        decided,
     )
     return rep
 
@@ -361,23 +379,78 @@ class _Chain:
     pair: Optional[Report] = None
 
 
-def _chain(c: Connection) -> _Chain:
+def _horizontal_is_forced(c: Connection, d: Decomposition) -> bool:
+    """Whether every horizontal and pair record passes, decided without composites.
+
+    It is asked once every effectiveness record has passed, so theta =
+    <p_E, T(q), K> : TE -> C = (x, w, u, k) has a two-sided inverse, and d
+    holds it.  Write D = iota_12 theta^-1 (``Decomposition.horizontal``),
+    with iota_12 (x, w, u) = (x, w, u, zeta_w(x)) and zeta_w the fibre part
+    of zeta.  It holds when H is absent (``_chain`` then checks D) or H = D,
+    and every record of ``check_horizontal`` and ``check_pair`` on D then
+    passes, as follows.
+
+    Uniqueness.  The x, w, u components of theta are U = <p_E, T(q)>, so
+    H theta = <H U, H K>.  The section record says H U = 1 and the
+    compatibility record says H K = pi_E q zeta = (x, zeta_w(x)), since
+    zeta q = 1 (the sum's "annihilation 2,1" record reads it).  So an H
+    that passes both has H theta = iota_12, and H = iota_12 theta^-1 = D
+    because theta is invertible.  An H != D therefore fails "section" or
+    "compatibility", and its records are computed, so every witness is
+    unchanged.
+
+    Existence.  D U = iota_12 theta^-1 theta pi_12 = iota_12 pi_12 = 1, and
+    D K = iota_12 theta^-1 theta pi_3 = iota_12 pi_3 = (x, zeta_w(x)):
+    section and compatibility.  The j-th partial-bundle record
+    says that theta^-1 carries P_j, the model's partial bundle with block j
+    fixed, onto B_j (B_0 the tangent bundle of E, B_1 = T(b)); its sigma,
+    zeta and lift squares are those of a linear isomorphism P_j -> B_j, and
+    P_j, isomorphic to a differential bundle, is one.  iota_12 is the
+    inclusion of E x_M TM = E + TM with the third block at P_j's zero, so
+    it commutes with the projections, and its lift square is P_j's lift
+    preserving that zero; it is linear from the j-th partial bundle of
+    E + TM into P_j.  A composite of linear morphisms is linear, so D is
+    linear over the total space (j = 0) and the tangent base (j = 1): the
+    four projection and lift squares.  For the decomposition take xi in TE
+    with theta(xi) = (x, w, u, k).  The first and third injection records
+    give 0_E = theta^-1 iota_1 and lift = theta^-1 iota_3, so the vertical
+    part mu(K xi, p_E xi) = T(sigma)(lift(x, k), 0_E(x, w)) is the sum in
+    T(b) of theta^-1 (x, zeta_w, 0, k) and theta^-1 (x, w, 0, zeta_w), which
+    theta^-1 carries from P_1: theta^-1 (x, w, 0, k).  The horizontal part
+    is D(x, w, u) = theta^-1 (x, w, u, zeta_w), and their sum in the tangent
+    bundle of E is carried from P_0: theta^-1 (x, w, u, k) = xi.  That is
+    the sum's resolution of the identity, read in the first partial bundle.
+
+    A passing record carries no witness, so the decided records' bytes are
+    the computed ones'.  ``equivalence_suite`` still computes them: its pair
+    leg is the executable form of this argument.
+    """
+    return c.H is None or map_equal(c.H, d.horizontal())
+
+
+def _chain(c: Connection, *, decide: bool) -> _Chain:
+    """One pass through the checks; with ``decide``, a forced H's records are decided, not computed."""
     vert = check_vertical(c)
     eff = _effectiveness(c, vert)
-    if eff.decomposition is None:
+    d = eff.decomposition
+    if d is None:
         return _Chain(vert, eff)
-    full = c if c.H is not None else replace(c, H=eff.decomposition.horizontal())
-    return _Chain(vert, eff, check_horizontal(full), check_pair(full))
+    full = c if c.H is not None else replace(c, H=d.horizontal())
+    decided = decide and _horizontal_is_forced(c, d)
+    return _Chain(vert, eff, check_horizontal(full, decided=decided), check_pair(full, decided=decided))
 
 
 def verify_connection(c: Connection) -> tuple[Report, Optional[Decomposition]]:
     """Check K, its effectiveness, then H and the pair, with H derived when absent.
 
     A connection is one effective K: past the vertical identities theta
-    inverts, and H = iota_12 ; theta^-1 when none is supplied.  The
-    decomposition is returned when K is effective.
+    inverts, and H = iota_12 ; theta^-1 is the only horizontal map that K
+    admits.  So an absent H, or a supplied one equal to iota_12 ; theta^-1,
+    passes the horizontal and pair records by that uniqueness
+    (``_horizontal_is_forced``); any other H is checked record by record.
+    The decomposition is returned when K is effective.
     """
-    chain = _chain(c)
+    chain = _chain(c, decide=True)
     rep = Report(subject="connection gate")
     rep.extend(chain.vertical, prefix="vertical: ")
     rep.extend(chain.effectiveness.report, prefix="effectiveness: ")
@@ -473,13 +546,15 @@ def equivalence_suite(c: Connection) -> Report:
     is the Whitney sum E + TM + E with the stated projections, injections
     and first/second partial structures; K retracts the lift and the pairing
     exhibits that product, whose projections are fixed but whose injections
-    are not.  The legs read the one pass of ``verify_connection``'s checks.
-    For a genuine connection all legs pass; for a defective K all legs must
-    fail together.
+    are not.  The legs read one pass of ``verify_connection``'s checks, in
+    which the pair leg's horizontal and joint identities are always
+    computed: that leg is the executable form of the uniqueness of H that
+    ``verify_connection`` relies on.  For a genuine connection all legs
+    pass; for a defective K all legs must fail together.
     """
     b = c.bundle
     rep = Report(subject="equivalence of presentations")
-    chain = _chain(c)
+    chain = _chain(c, decide=False)
     vert, eff = chain.vertical, chain.effectiveness
     eff_rep, decomp = eff.report, eff.decomposition
     legs = (

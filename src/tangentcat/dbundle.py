@@ -384,6 +384,10 @@ def tangent_of_bundle(b: DiffBundle) -> DiffBundle:
     )
 
 
+# The two squares that make a bundle morphism (g, f) linear: record name, law.
+LINEAR_SQUARES = (("projection square", "q f = g r"), ("lift square", "lift T(g) = g lift'"))
+
+
 def linear_morphism_report(
     subject: str, g: PolyMap, f: PolyMap, src: DiffBundle, dst: DiffBundle
 ) -> Report:
@@ -399,10 +403,9 @@ def linear_morphism_report(
     if f.domain_dim != src.base.dim or f.codomain_dim != dst.base.dim:
         raise ShapeError("bottom morphism has the wrong shape")
     rep = Report(subject=subject)
-    rep.check_equal("projection square", "q f = g r", compose(src.q, f), compose(g, dst.q))
-    rep.check_equal(
-        "lift square", "lift T(g) = g lift'", compose(src.lift, T_map(g)), compose(g, dst.lift)
-    )
+    projection, lift = LINEAR_SQUARES
+    rep.check_equal(*projection, compose(src.q, f), compose(g, dst.q))
+    rep.check_equal(*lift, compose(src.lift, T_map(g)), compose(g, dst.lift))
     return rep
 
 

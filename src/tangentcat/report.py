@@ -41,12 +41,18 @@ class Report:
         self.add(CheckRecord(name, law, Status.FAIL, first_difference(lhs, rhs)))
         return False
 
-    def check_built(self, name: str, law: str, build: Callable[[], tuple[PolyMap, PolyMap]]) -> bool:
+    def check_built(
+        self, name: str, law: str, build: Callable[[], tuple[PolyMap, PolyMap]], decided: bool = False
+    ) -> bool:
         """Record the equality of the two maps ``build()`` returns.
 
         A pairing that cannot be formed, because its parts lie over different
-        base points, refutes the law; its message is the witness.
+        base points, refutes the law; its message is the witness.  A law the
+        caller has ``decided`` from its premises passes without ``build``
+        being called.
         """
+        if decided:
+            return self.check(name, law, True)
         try:
             lhs, rhs = build()
         except ShapeError as exc:

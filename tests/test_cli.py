@@ -11,7 +11,7 @@ from tangentcat import serialize
 from tangentcat.cli import build_parser, main
 from tangentcat.polycore import Polynomial, PolyMap
 from tangentcat.tangent import Space
-from tangentcat.connection import Connection, canonical_connection, christoffel_connection
+from tangentcat.connection import Connection, canonical_connection, christoffel_connection, derive_horizontal
 
 
 def write_connection(tmp_path, c, name="conn.json"):
@@ -365,38 +365,64 @@ def test_only_the_bundles_that_are_read_are_transported(
     capsys.readouterr()
 
 
-def test_verify_checks_vertical_and_effectiveness_once(tmp_path, monkeypatch, capsys):
+def count_calls(monkeypatch, *fns):
+    """Count calls of each function, in every tangentcat module that bound it."""
     import sys
 
-    import tangentcat.connection as connection
-    import tangentcat.dbundle as dbundle
+    calls = {fn.__name__: 0 for fn in fns}
 
-    originals = {
-        "check_vertical": connection.check_vertical,
-        "_effectiveness": connection._effectiveness,
-        "tangent_of_bundle": dbundle.tangent_of_bundle,
-    }
-    calls = {name: 0 for name in originals}
-
-    def counted(name, fn):
+    def counted(fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[fn.__name__] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    # every module that bound one of these names gets the counter
-    for name, fn in originals.items():
-        wrapper = counted(name, fn)
+    for fn in fns:
+        wrapper = counted(fn)
         for mod_name, module in list(sys.modules.items()):
-            if mod_name.startswith("tangentcat") and vars(module).get(name) is fn:
-                monkeypatch.setattr(module, name, wrapper)
+            if mod_name.startswith("tangentcat") and vars(module).get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapper)
+    return calls
+
+
+def test_verify_checks_vertical_and_effectiveness_once(tmp_path, monkeypatch, capsys):
+    import tangentcat.connection as connection
+    import tangentcat.dbundle as dbundle
+
+    calls = count_calls(
+        monkeypatch, connection.check_vertical, connection._effectiveness, dbundle.tangent_of_bundle
+    )
     # two documents written separately: nothing built for the first may
     # serve the second
     for i, c in enumerate((canonical_connection(1), christoffel_linear())):
         path = write_connection(tmp_path, Connection(bundle=c.bundle, K=c.K), f"conn{i}.json")
         assert main(["verify", path]) == 0
         assert calls == {name: i + 1 for name in calls}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "h, code, reports",
+    [("absent", 0, 2), ("derived", 0, 2), ("u block perturbed", 2, 4)],
+)
+def test_verify_builds_horizontal_reports_only_for_another_H(tmp_path, monkeypatch, capsys, h, code, reports):
+    """Once K is effective, an absent H or H = iota_12 theta^-1 passes the
+    horizontal and pair records by uniqueness, so only the vertical check's
+    two linearity reports are built; any other H is checked record by
+    record and its linearity reports are built too."""
+    import tangentcat.dbundle as dbundle
+
+    c = derive_horizontal(christoffel_linear())
+    if h == "absent":
+        c = Connection(bundle=c.bundle, K=c.K)
+    elif h == "u block perturbed":
+        comps = list(c.H.components)
+        comps[2] = comps[2] + Polynomial.variable(3, 1)
+        c = Connection(bundle=c.bundle, K=c.K, H=PolyMap(3, tuple(comps)))
+    calls = count_calls(monkeypatch, dbundle.linear_morphism_report)
+    assert main(["--format", "json", "verify", write_connection(tmp_path, c)]) == code
+    assert calls == {"linear_morphism_report": reports}
     capsys.readouterr()
 
 

@@ -33,8 +33,9 @@ from tangentcat.connection import (
     derive_horizontal,
     equivalence_suite,
     recompose_point,
+    verify_connection,
 )
-from tangentcat.report import Status
+from tangentcat.report import Report, Status
 
 
 def x(arity, i):
@@ -306,6 +307,97 @@ def test_derive_horizontal_requires_effectiveness():
     k = PolyMap.from_components(4, [x(4, 0), x(4, 3).scale(2)])
     with pytest.raises(ShapeError):
         derive_horizontal(Connection(bundle=b, K=k))
+
+
+# ------------------------------------------ horizontal maps forced by K
+
+
+def christoffel_of_degree(n, degree, rng):
+    """A Christoffel table whose nonzero entries are c x^a with |a| = degree."""
+    def coeff():
+        if rng.random() < 0.3:
+            return Polynomial.zero(n)
+        exps = [0] * n
+        for _ in range(degree):
+            exps[rng.randrange(n)] += 1
+        coefficient = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        return Polynomial.from_terms(n, {tuple(exps): coefficient})
+
+    table = tuple(
+        tuple(tuple(coeff() for _ in range(n)) for _ in range(n)) for _ in range(n)
+    )
+    return christoffel_connection(Space.euclidean(n), table)
+
+
+def _perturbed_block(c, block, rng):
+    """c.H with a monomial added to one component of its x, w, u or v block."""
+    b, h = c.bundle, c.H
+    e, m = b.total.dim, b.base.dim
+    span = {"x": range(m), "w": range(m, e), "u": range(e, e + m), "v": range(e + m, 2 * e)}[block]
+    comps = list(h.components)
+    k = rng.choice(span)
+    dom = h.domain_dim
+    term = x(dom, rng.randrange(dom))
+    if rng.random() < 0.5:
+        term = term * x(dom, rng.randrange(dom))
+    comps[k] = comps[k] + term.scale(rng.choice((-2, -1, Fraction(1, 2), 1, 3)))
+    return replace(c, H=PolyMap(dom, tuple(comps)))
+
+
+def _christoffel_family(n, degree):
+    """Seeded Christoffel connections with H absent, derived, and perturbed in each block."""
+    rng = random.Random(f"forced n={n} degree={degree}")
+    for _ in range(3):
+        c = christoffel_of_degree(n, degree, rng)
+        derived = derive_horizontal(c)
+        yield c
+        yield derived
+        for block in "xwuv":
+            yield _perturbed_block(derived, block, rng)
+
+
+FORCED_MODELS = {
+    **{
+        f"christoffel n={n} degree={d}": (lambda n=n, d=d: _christoffel_family(n, d))
+        for n in (1, 2, 3)
+        for d in (0, 1, 2)
+    },
+    **{
+        f"canonical n={n}": (lambda n=n: (canonical_connection(n), replace(canonical_connection(n), H=None)))
+        for n in (1, 2, 3)
+    },
+    # the rival horizontal map of test_rival_horizontal_fails_pair_with_wrong_K
+    "rival": lambda: (
+        replace(
+            canonical_connection(1),
+            H=PolyMap.from_components(3, [x(3, 0), x(3, 1), x(3, 2), x(3, 1) * x(3, 2)]),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCED_MODELS))
+def test_forced_horizontal_records_equal_the_computed_ones(name):
+    """verify_connection decides the horizontal and pair records of an absent
+    H, or of H = iota_12 theta^-1, without computing them; its report is the
+    fully computed one byte for byte, and every other H fails "section" or
+    "compatibility" (the uniqueness half of the proof)."""
+    for c in FORCED_MODELS[name]():
+        report, decomp = verify_connection(c)
+        assert decomp is not None
+        derived = decomp.horizontal()
+        full = c if c.H is not None else replace(c, H=derived)
+        expected = Report(subject="connection gate")
+        expected.extend(check_vertical(c), prefix="vertical: ")
+        expected.extend(check_effective(c)[0], prefix="effectiveness: ")
+        horizontal, pair = check_horizontal(full), check_pair(full)
+        expected.extend(horizontal, prefix="horizontal: ")
+        expected.extend(pair, prefix="pair: ")
+        assert serialize.dumps(report.to_dict()) == serialize.dumps(expected.to_dict()), c
+        assert report.render_text() == expected.render_text()
+        if not map_equal(full.H, derived):
+            failing = {r.name for r in (*horizontal.failing(), *pair.failing())}
+            assert failing & {"section", "compatibility"}, (c, failing)
 
 
 # ------------------------------------------------------------- constructors
