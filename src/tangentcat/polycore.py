@@ -526,21 +526,88 @@ class NotInvertible(Exception):
         self.budget = budget
 
 
+def _triangular_inverse(f: PolyMap) -> Optional[PolyMap]:
+    """The closed-form inverse of a triangular f (see ``invert_polymap``), or None.
+
+    None means f is not triangular, or its matrix A is singular.  y_S puts
+    y_k where component k is x_s, so p(y_S) is p(x_S) with its exponents
+    moved: no substitution is made.
+    """
+    n, comps = f.domain_dim, f.components
+    source: list[Optional[int]] = [None] * n  # source[s] = k when component k is x_s
+    for k, c in enumerate(comps):
+        if (s := c.bare) is not None:
+            if source[s] is not None:
+                return None
+            source[s] = k
+    rest = [r for r in range(n) if source[r] is None]
+    column = {r: j for j, r in enumerate(rest)}
+    others = [k for k, c in enumerate(comps) if c.bare is None]
+    rows, minus_p = [], []  # A's rows and -p_k(y_S), one per component in ``others``
+    for k in others:
+        row, neg = {}, {}
+        for e, v in comps[k].terms:
+            touched = [r for r in rest if e[r]]
+            if not touched:
+                y = [0] * n
+                for s, d in enumerate(e):
+                    if d:
+                        y[source[s]] = d
+                neg[tuple(y)] = -v
+            elif sum(e) == 1:
+                row[column[touched[0]]] = v
+            else:
+                return None
+        rows.append(row)
+        minus_p.append(neg)
+    a_inv = _gauss_jordan(rows)[1]
+    if a_inv is None:
+        return None
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    out = []
+    for x, k in enumerate(source):
+        if k is not None:
+            out.append(Polynomial.variable(n, k))
+            continue
+        acc: dict[Exponent, int | Fraction] = {}
+        for i, a in a_inv[column[x]].items():
+            acc[units[others[i]]] = a
+            for e, v in minus_p[i].items():
+                acc[e] = acc.get(e, 0) + a * v
+        out.append(Polynomial(n, _sorted_terms(acc)))
+    return PolyMap(n, tuple(out))
+
+
 def invert_polymap(f: PolyMap) -> PolyMap:
     """The two-sided polynomial inverse of f; the engine's only inverter.
 
-    With A = J_f(0) and c = f(0), g = A^-1 (f - c) = y + h(y), h of order
-    at least 2, and f^-1 = G after x -> A^-1 (x - c), where G is the fixed
-    point of G <- x - h(G).  G is expanded one homogeneous degree at a time:
-    G_k = -[h(G)]_k needs G only below degree k.  From degree deg f on, each
-    truncation is tried at one rational point, and one that passes there is
-    checked by one composite.  The expansion stops at the
-    Bass-Connell-Wright bound (deg f)^(n-1) on the degree of an inverse
-    (Bass, Connell & Wright, "The Jacobian conjecture", Bull. AMS 7, 1982),
-    or at ``DEGREE_BUDGET`` when that is smaller.  det J_f is sampled once,
-    if G has not closed by degree deg f.
+    The first candidate is a closed form, for f triangular: its
+    bare-variable components x_s use no variable twice (S the variables
+    they use, R the rest), and each other component is
+    sum_r A_kr x_r + p_k(x_S), A a constant matrix over r in R.  The maps
+    theta = <p_E, T(q), K> of a vertical K and the universality maps mu of
+    the bundles the engine reads have this form.  With A invertible,
+    g(y) = (x_S = y_S, x_R = A^-1 (y_rest - p(y_S))) is the inverse:
+    g(f(x)) = (x_S, A^-1 (A x_R + p(x_S) - p(x_S))) = x, and
+    f(g(y)) = (y_S, A A^-1 (y_rest - p(y_S)) + p(y_S)) = y.
+    ``_triangular_inverse`` builds it.
 
-    A candidate g is certified by f(g(x)) = x alone, the cheaper composite:
+    Every other f, and a triangular f with A singular, goes to
+    ``_expand_inverse``.  With A = J_f(0) and c = f(0), g = A^-1 (f - c)
+    = y + h(y), h of order at least 2, and f^-1 = G after
+    x -> A^-1 (x - c), where G is the fixed point of G <- x - h(G).  G is
+    expanded one homogeneous degree at a time: G_k = -[h(G)]_k needs G
+    only below degree k.  From degree deg f on, each truncation is tried at
+    one rational point, and one that passes there is checked by one
+    composite.  The expansion stops at the Bass-Connell-Wright bound
+    (deg f)^(n-1) on the degree of an inverse (Bass, Connell & Wright,
+    "The Jacobian conjecture", Bull. AMS 7, 1982), or at ``DEGREE_BUDGET``
+    when that is smaller.  det J_f is sampled once, if G has not closed by
+    degree deg f.  A polynomial inverse is unique and ``Polynomial`` is
+    canonical, so both candidates return the same map.
+
+    Both candidates pass through the same certifying composite: a
+    candidate g is certified by f(g(x)) = x alone, the cheaper composite:
     it substitutes g into the low-degree f.  That makes g two-sided.  The
     chain rule gives J_f(g(x)) J_g(x) = I, so J_g(0) is invertible and g
     has a formal inverse phi at g(0): g(phi(y)) = y and phi(g(x)) = x as
@@ -557,6 +624,15 @@ def invert_polymap(f: PolyMap) -> PolyMap:
     n = f.domain_dim
     if f.codomain_dim != n:
         raise NotInvertible(f"it maps dimension {n} to dimension {f.codomain_dim}")
+    inv = _triangular_inverse(f)
+    if inv is not None and map_equal(compose(inv, f), PolyMap.identity(n)):
+        return inv
+    return _expand_inverse(f)
+
+
+def _expand_inverse(f: PolyMap) -> PolyMap:
+    """The inverse of a square f by the degree-by-degree expansion of ``invert_polymap``."""
+    n = f.domain_dim
     # J_f(0) and f(0) from the terms of degree at most one, which lead
     low = [list(takewhile(lambda t: sum(t[0]) < 2, c.terms)) for c in f.components]
     linear = [{e.index(1): c for e, c in terms if any(e)} for terms in low]

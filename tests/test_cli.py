@@ -426,6 +426,33 @@ def test_verify_builds_horizontal_reports_only_for_another_H(tmp_path, monkeypat
     capsys.readouterr()
 
 
+def test_only_a_map_outside_the_triangular_form_enters_the_expansion(tmp_path, monkeypatch, capsys):
+    """theta and mu of a Christoffel connection are triangular and invert in
+    closed form; the transport of a trivial bundle along the two-level shear
+    psi = (x0, x1 + x0^2, x2 + x1^2) has a mu that is not, and psi itself
+    is not either."""
+    import tangentcat.polycore as polycore
+    from tangentcat.dbundle import transport_bundle, trivial_bundle
+
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    one = Polynomial.constant(2, 1)
+    gamma = (((x0, one), (one, x1)), ((x1 * x1, x0), (x0, Polynomial.zero(2))))
+    path = write_connection(tmp_path, christoffel_connection(Space.euclidean(2), gamma))
+    calls = count_calls(monkeypatch, polycore._expand_inverse)
+    for command in ("verify", "total-bundle"):
+        assert main(["--format", "json", command, path]) == 0
+        assert calls == {"_expand_inverse": 0}
+
+    b = trivial_bundle(Space.euclidean(1), 2)
+    y0, y1, y2 = (Polynomial.variable(3, i) for i in range(3))
+    psi = PolyMap(3, (y0, y1 + y0 * y0, y2 + y1 * y1))
+    shear = transport_bundle(b, psi, polycore.invert_polymap(psi), b.total)
+    calls["_expand_inverse"] = 0
+    assert main(["--format", "json", "verify", "--kind", "bundle", write_bundle(tmp_path, shear)]) == 0
+    assert calls["_expand_inverse"] > 0
+    capsys.readouterr()
+
+
 # --------------------------------------------------------------------- demo
 
 

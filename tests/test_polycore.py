@@ -1,5 +1,6 @@
 """Ring laws, composition coherence, and solver behavior for the polynomial core."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from tangentcat.polycore import (
     map_equal,
     pair_into,
     _gauss_jordan,
+    _triangular_inverse,
 )
 
 from tangentcat.report import Report, Status
@@ -316,6 +318,84 @@ def _det(m):
     if len(m) == 1:
         return m[0][0]
     return sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]]) for j in range(len(m)))
+
+
+def _seeded_triangular(seed):
+    """A triangular map in n = 1..4 variables: bare variables x_S at
+    permuted positions, then A x_R + p(x_S) with A invertible and p of
+    degree at most 3.  Also returns S and R, as lists."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    positions, variables = rng.sample(range(n), n), rng.sample(range(n), n)
+    m = rng.randint(0, n)
+    s_vars, r_vars = variables[:m], variables[m:]
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in r_vars] for _ in r_vars]
+        if not rows or _det(rows):
+            break
+    comps = [None] * n
+    for k, s in zip(positions, s_vars):
+        comps[k] = v(n, s)
+    for k, row in zip(positions[m:], rows):
+        p = Polynomial.constant(n, rng.randint(-2, 2))
+        for _ in range(rng.randint(0, 3) if m else 0):
+            mono = Polynomial.constant(n, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3)):
+                mono = mono * v(n, rng.choice(s_vars))
+            p = p + mono
+        comps[k] = sum((v(n, r).scale(a) for r, a in zip(r_vars, row)), p)
+    return PolyMap(n, tuple(comps)), s_vars, r_vars
+
+
+def _inversion_outcome(f):
+    try:
+        return invert_polymap(f)
+    except NotInvertible as exc:
+        return exc.witness, exc.budget
+
+
+def _outside_the_form(seed):
+    """A seeded triangular map moved just outside the form, by each named change that applies."""
+    f, s_vars, r_vars = _seeded_triangular(seed)
+    n, comps = f.domain_dim, f.components
+    rows = [k for k, c in enumerate(comps) if c.bare is None]
+    rng = random.Random(seed)
+
+    def with_row(k, c):
+        return PolyMap(n, comps[:k] + (c,) + comps[k + 1 :])
+
+    out = []
+    if r_vars:
+        k, r = rng.choice(rows), rng.choice(r_vars)
+        out.append(("x_r^2", with_row(k, comps[k] + (v(n, r) * v(n, r)).scale(rng.choice([-1, 1, 2])))))
+        k = rng.choice(rows)
+        free = Polynomial(n, tuple(t for t in comps[k].terms if not any(t[0][r] for r in r_vars)))
+        out.append(("singular A", with_row(k, free)))
+    if s_vars and r_vars:
+        k = rng.choice(rows)
+        out.append(("x_s x_r", with_row(k, comps[k] + v(n, rng.choice(s_vars)) * v(n, rng.choice(r_vars)))))
+        out.append(("repeated bare variable", with_row(rng.choice(rows), v(n, s_vars[0]))))
+    return out
+
+
+def test_closed_form_and_expansion_return_the_same_inverse(monkeypatch):
+    triangular = [_seeded_triangular(seed)[0] for seed in range(60)]
+    y0, y1, y2 = v(3, 0), v(3, 1), v(3, 2)
+    outside = [case for seed in range(60) for case in _outside_the_form(seed)]
+    outside.append(("two-level shear", PolyMap(3, (y0, y1 + y0 * y0, y2 + y1 * y1))))
+    assert {name for name, _ in outside} == {
+        "x_s x_r", "x_r^2", "singular A", "repeated bare variable", "two-level shear"
+    }
+    for f in triangular:
+        assert _triangular_inverse(f) is not None
+    for _, f in outside:
+        assert _triangular_inverse(f) is None
+    closed = [invert_polymap(f) for f in triangular]
+    beside = [_inversion_outcome(f) for _, f in outside]
+    monkeypatch.setattr("tangentcat.polycore._triangular_inverse", lambda f: None)
+    assert [invert_polymap(f) for f in triangular] == closed
+    assert [_inversion_outcome(f) for _, f in outside] == beside
+    assert any(isinstance(o, PolyMap) for o in beside) and any(isinstance(o, tuple) for o in beside)
 
 
 @st.composite

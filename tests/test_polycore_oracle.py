@@ -12,7 +12,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tangentcat.polycore import NotInvertible, Polynomial, PolyMap, compose, compose_all, invert_polymap, jacobian
+from tangentcat.polycore import (
+    NotInvertible,
+    Polynomial,
+    PolyMap,
+    compose,
+    compose_all,
+    invert_polymap,
+    jacobian,
+    _triangular_inverse,
+)
 from tangentcat.tangent import T_map
 
 from conftest import polymaps, polynomials, trivial_mixed_polymaps
@@ -245,22 +254,53 @@ def _jacobian_determinant(f: PolyMap):
     return sympy.expand(sympy.Matrix([[sympy.diff(to_sympy(c), X[j]) for j in range(n)] for c in f.components]).det())
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def triangular_maps(draw, n):
+    """Bare variables x_S at permuted positions; each other component is a
+    constant invertible A on the remaining variables R plus p(x_S) of
+    degree at most 3 with a nonzero constant term."""
+    positions = draw(st.permutations(range(n)))
+    variables = draw(st.permutations(range(n)))
+    m = draw(st.integers(0, n))
+    s_vars, r_vars = variables[:m], variables[m:]
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n - m, max_size=n - m), min_size=n - m, max_size=n - m))
+    assume(sympy.Matrix(rows).det() != 0)
+    comps = [None] * n
+    for k, s in zip(positions[:m], s_vars):
+        comps[k] = v(n, s)
+    for k, row in zip(positions[m:], rows):
+        p = Polynomial.constant(n, draw(st.integers(-2, 2).filter(bool)))
+        if m:
+            q = draw(polynomials(m, max_degree=3, max_terms=3))
+            q = Polynomial(m, tuple(t for t in q.terms if any(t[0])))
+            p = p + q.substitute([v(n, s) for s in s_vars])
+        comps[k] = sum((v(n, r).scale(a) for r, a in zip(r_vars, row)), p)
+    return PolyMap(n, tuple(comps))
+
+
+@settings(max_examples=90, deadline=None)
 @given(
     st.one_of(
-        polymaps(2, 2, max_degree=2),
-        polymaps(3, 3, max_degree=2, max_terms=2),
-        conjugated_shears(2),
-        conjugated_shears(3),
+        st.one_of(
+            polymaps(2, 2, max_degree=2),
+            polymaps(3, 3, max_degree=2, max_terms=2),
+            conjugated_shears(2),
+            conjugated_shears(3),
+        ).map(lambda f: (f, False)),
+        st.one_of(triangular_maps(2), triangular_maps(3), triangular_maps(4)).map(lambda f: (f, True)),
     )
 )
-def test_inverter_matches_sympy(f):
+def test_inverter_matches_sympy(case):
     # Within these degrees the Bass-Connell-Wright bound lies inside the
-    # inverter's budget, so every map either inverts or is refuted.
+    # inverter's budget, so every map either inverts or is refuted.  A
+    # triangular map always inverts, in closed form.
+    f, triangular = case
+    if triangular:
+        assert _triangular_inverse(f) is not None
     try:
         inv = invert_polymap(f)
     except NotInvertible as exc:
-        assert exc.witness and not exc.budget
+        assert exc.witness and not exc.budget and not triangular
         det = _jacobian_determinant(f)
         assert det == 0 or not det.is_constant()
         return
