@@ -9,14 +9,16 @@ so "+3", "007" and "4/2" all read as the int they denote.  A connection
 object has ``bundle``, ``K``, an optional ``H`` and no other key (K encodes
 the Christoffel symbols, so there is no ``gamma``); every other object's
 fields are all required.  All encoders are deterministic so that identical
-objects always produce identical bytes.
+objects always produce identical bytes: ``dumps`` writes exactly the bytes of
+``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, from the
+module's own writer rather than ``json``'s pure-Python indent path.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .polycore import PolyMap, Polynomial, ShapeError, _exact
@@ -81,15 +83,20 @@ def poly_from_json(obj: Any, where: str = "polynomial") -> Polynomial:
         raise SerializationError(f"{where}: terms must be a list")
     terms: dict = {}
     for i, t in enumerate(listed):
-        spot = f"{where}.terms[{i}]"
-        exps = _expect(t, "exps", spot)
-        if (
-            not isinstance(exps, list)
-            or len(exps) != arity
-            or any(not _natural(e) for e in exps)
-        ):
-            raise SerializationError(f"{spot}: exps must be {arity} natural numbers")
-        coeff = fraction_from_str(_expect(t, "coeff", spot), spot)
+        # every message starts with the location passed; the term's own
+        # location is formatted only when one is raised
+        try:
+            exps = _expect(t, "exps", where)
+            if (
+                not isinstance(exps, list)
+                or len(exps) != arity
+                or any(not _natural(e) for e in exps)
+            ):
+                raise SerializationError(f"{where}: exps must be {arity} natural numbers")
+            coeff = fraction_from_str(_expect(t, "coeff", where), where)
+        except SerializationError as exc:
+            spot = f"{where}.terms[{i}]"
+            raise SerializationError(spot + str(exc)[len(where):]) from exc.__cause__
         key = tuple(exps)
         terms[key] = terms[key] + coeff if key in terms else coeff
     return Polynomial.from_terms(arity, terms)
@@ -190,6 +197,71 @@ def connection_from_json(obj: Any, where: str = "connection") -> Connection:
         raise SerializationError(f"{where}: {exc}") from exc
 
 
+def _write(obj: Any, indent: str, out: list) -> None:
+    """Append the JSON of ``obj`` to ``out``; ``indent`` is a newline and obj's margin.
+
+    Each dict entry is one string, a str or exact-int value joined to it; a
+    list whose items are all exact ints or all str is one ``str.join``.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep, nxt = "{" + inner, "," + inner
+        for key in sorted(obj):
+            value = obj[key]
+            kind = type(value)
+            if kind is str:
+                out.append(sep + _quote(key) + ": " + _quote(value))
+            elif kind is int:
+                out.append(sep + _quote(key) + ": " + int.__repr__(value))
+            else:
+                out.append(sep + _quote(key) + ": ")
+                _write(value, inner, out)
+            sep = nxt
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        kinds = {*map(type, obj)}
+        if kinds == {int} or kinds == {str}:
+            items = map(int.__repr__ if kinds == {int} else _quote, obj)
+            out.append("[" + inner + ("," + inner).join(items) + indent + "]")
+            return
+        sep, nxt = "[" + inner, "," + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, inner, out)
+            sep = nxt
+        out.append(indent + "]")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dumps(obj: Any) -> str:
-    """Deterministic JSON encoding: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON encoding: sorted keys, two-space indent, newline.
+
+    The bytes are those of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
+    for a value built from dict (str keys), list, tuple, str, int, bool and
+    None, subclasses included.  Any other value raises ``TypeError``, a float
+    too, since the schemas write exact numbers only, and so does a dict key
+    that is not a str, which ``json`` would convert; a value that contains
+    itself exhausts the recursion limit where ``json`` raises ``ValueError``.
+    """
+    out: list = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)

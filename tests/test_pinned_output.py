@@ -128,6 +128,16 @@ def test_connection_demo_bytes_are_pinned(name, capsys):
     )
 
 
+def test_decompose_json_bytes_are_pinned(tmp_path, capsys):
+    """Computed while ``serialize.dumps`` still called ``json.dumps``."""
+    path = tmp_path / "conn.json"
+    path.write_text(serialize.dumps(serialize.connection_to_json(canonical_connection(1))))
+    assert main(["--format", "json", "decompose", str(path), "1/2,2,3,4"]) == 0
+    assert _sha(capsys.readouterr().out) == (
+        "f4e6250084bddd47deab85c1ec431b9ae72da833e2216ccd28ec0ed051f0f4ef"
+    )
+
+
 def test_derived_H_sidecar_bytes_are_pinned(tmp_path, capsys):
     path = tmp_path / "conn.json"
     path.write_text(serialize.dumps(serialize.connection_to_json(_christoffel())))

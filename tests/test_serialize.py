@@ -164,5 +164,37 @@ def test_bundle_schema_rejects_inconsistent_shapes():
     b = tangent_bundle(Space.euclidean(1))
     doc = serialize.bundle_to_json(b)
     doc["base_coords"] = [0, 1]
-    with pytest.raises((SerializationError, Exception)):
+    with pytest.raises(SerializationError, match="base_coords length != base dimension"):
         serialize.bundle_from_json(doc)
+
+
+# Non-ASCII text, control characters, quotes, backslashes and lone
+# surrogates, which json escapes as \uXXXX.
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9\u20ac\U0001f600\ud800\udfff')))
+_INTS = st.one_of(st.integers(), st.integers(min_value=2**64, max_value=2**200), st.integers(max_value=-(2**64)))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTS, _TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(_TEXT, inner),
+        # the writer joins all-int and all-str lists in one go; bool is not int there
+        st.lists(st.one_of(_INTS, st.booleans())),
+        st.lists(_TEXT),
+    ),
+    max_leaves=25,
+)
+
+
+@given(st.one_of(_JSON, st.sampled_from([{}, [], (), {"a": []}, [{}, ()]])))
+@settings(max_examples=150, deadline=None)
+def test_dumps_gives_the_bytes_of_json_dumps(value):
+    """The writer accepts dict (str keys), list, tuple, str, int, bool and None."""
+    assert serialize.dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), {"a": [frozenset()]}, [1, object()], {1: "a"}, [0.5]])
+def test_dumps_rejects_what_it_cannot_encode_with_type_error(value):
+    """A set or an object, as under ``json``; also a float and a non-str key."""
+    with pytest.raises(TypeError):
+        serialize.dumps(value)
