@@ -28,9 +28,6 @@ from .whitney import (
     Recognition,
     biproduct,
     biproduct_laws,
-    hom_add,
-    hom_zero,
-    partial_add,
     partial_bundle,
     recognize_biproduct,
     verify_sum,
@@ -46,8 +43,8 @@ from .connection import (
     christoffel_connection,
     decompose_point,
     derive_horizontal,
+    effective_decomposition,
     equivalence_suite,
-    recompose_point,
     verify_connection,
 )
 

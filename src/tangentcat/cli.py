@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from functools import cache
 from typing import Optional
 
@@ -27,7 +28,7 @@ from .connection import (
     check_pair,
     christoffel_connection,
     decompose_point,
-    derive_horizontal,
+    effective_decomposition,
     verify_connection,
 )
 from .whitney import verify_sum
@@ -89,16 +90,21 @@ def _read(args, kind: str = "connection"):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temp file and a rename; a path that cannot be written
+    is a ``SerializationError`` naming it, and leaves no temp file behind."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tangentcat-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tangentcat-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise SerializationError(f"{path}: {exc}") from exc
 
 
 def _emit(report: Report, fmt: str, extra: Optional[dict] = None) -> None:
@@ -139,18 +145,17 @@ def _sidecar(path: str, tag: str) -> str:
 def cmd_derive_h(args) -> int:
     c = _read(args)
     try:
-        full = derive_horizontal(Connection(bundle=c.bundle, K=c.K))
+        d = effective_decomposition(Connection(bundle=c.bundle, K=c.K))
     except ShapeError as exc:
         report = Report(subject="horizontal derivation")
         report.check("derivation", "an effective vertical map determines H", False, str(exc))
         _emit(report, args.format)
         return EXIT_FAIL
+    full = replace(c, H=d.horizontal)
     out = _sidecar(args.path, "h")
     _atomic_write(out, serialize.dumps(serialize.map_to_json(full.H)))
-    # derive_horizontal returns H = iota_12 theta^-1 of an effective K only,
-    # so its records are decided by uniqueness (connection._horizontal_is_forced).
-    report = check_horizontal(full, decided=True)
-    report.extend(check_pair(full, decided=True), prefix="pair: ")
+    report = check_horizontal(full, d)
+    report.extend(check_pair(full, d), prefix="pair: ")
     _emit(report, args.format, extra={"written": out})
     return _exit_code(report)
 

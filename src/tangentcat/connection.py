@@ -12,16 +12,20 @@ The module also implements the equivalence between such pairs and single maps
 K for which the three-way pairing (tangent projection, tangent of the bundle
 projection, K) is invertible: inverting that pairing exhibits TE as a Whitney
 sum of the bundle, the tangent bundle of the base, and the bundle again, and
-H is recovered as the injection of the first two summands.  That H is the
-only one an effective K admits, so ``verify_connection`` passes the
-horizontal and joint identities of an absent H, or of a supplied H equal to
-it, without computing them, and checks any other H identity by identity.
-The sum's two partial bundles, over E and over TM, must be the tangent
-bundle of E and T of the bundle; they are decided from K's additivity over
-both projections and four squares of the bundle's own structure, and are
-transported along the inverse pairing to be compared only when that does
-not decide them.
-All verdicts are exact: a pairing with no inverse fails with an exact
+H is recovered as the injection of the first two summands.
+
+Two premises decide records without their composites, each through
+``Report.decide``.  "uniqueness of H": that H is the only one an effective
+K admits, so ``check_horizontal`` and ``check_pair``, given the
+decomposition, pass the seven horizontal and joint identities of that H
+(``_horizontal_is_forced``) and check any other H identity by identity;
+``verify_connection`` and the CLI's ``derive-h`` pass them the
+decomposition.  "additivity of K": the sum's two partial bundles, over E
+and over TM, must be the tangent bundle of E and T of the bundle; they are
+decided from K's additivity over both projections and four squares of the
+bundle's own structure (``_partials_by_additivity``), and are transported
+along the inverse pairing to be compared only when that does not decide
+them.  All verdicts are exact: a pairing with no inverse fails with an exact
 refutation witness, and is cannot-certify only when the inverter's degree
 budget runs out.
 
@@ -35,6 +39,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -118,8 +123,9 @@ class Decomposition:
     def theta_inv(self) -> PolyMap:
         return self.biproduct.from_canonical
 
+    @cached_property
     def horizontal(self) -> PolyMap:
-        """H = iota_12 ; theta^-1, with iota_12 (x, w, u) -> (x, w, u, zero fibre)."""
+        """H = iota_12 ; theta^-1, with iota_12 (x, w, u) -> (x, w, u, zero fibre); built once."""
         b = self.biproduct.summands[0]
         hat = b.total.dim + b.base.dim
         iota12 = PolyMap(
@@ -163,58 +169,61 @@ def check_vertical(c: Connection) -> Report:
     return rep
 
 
-def check_horizontal(c: Connection, *, decided: bool = False) -> Report:
+def check_horizontal(c: Connection, d: Optional[Decomposition] = None) -> Report:
     """H sections U and is linear over the total space and the tangent base.
 
-    Every law is computed on the given H.  ``decided`` is for a caller that
-    knows H = iota_12 theta^-1 for an effective K (``_horizontal_is_forced``):
-    each law then passes without its composites being built.
+    ``d`` is the decomposition ``check_effective`` returned for c, when the
+    caller holds it.  If H is the one it forces (``_horizontal_is_forced``),
+    every law passes by the premise "uniqueness of H"; otherwise every law
+    is computed on H.
     """
     b = c.bundle
     rep = Report(subject="horizontal map")
     if c.H is None:
         rep.check("presence", "a horizontal map is supplied", False, "no H given")
         return rep
+    premise = "uniqueness of H" if _horizontal_is_forced(c, d) else None
     hat = b.total.dim + b.base.dim
-    rep.check_built(
+    rep.decide(
         "section",
         "H then <p_E, T(q)> is the identity",
+        premise,
         lambda: (compose(c.H, section_target(b)), PolyMap.identity(hat)),
-        decided,
     )
     # H is linear over both partial bundles of E x_M TM = E + TM, whose
-    # concatenated model is E x_M TM itself.
+    # concatenated model is E x_M TM itself; both squares of one partial
+    # bundle read one linearity report, built when the first is computed.
     summands = (b, tangent_bundle(b.base))
     over = (
         ("total space", PolyMap.identity(b.total.dim), tangent_bundle(b.total)),
         ("tangent base", PolyMap.identity(2 * b.base.dim), b.tangent),
     )
-    for fixed, (name, f, dst) in enumerate(over):
-        prefix = f"linearity over the {name}: "
-        if decided:
-            for square, law in LINEAR_SQUARES:
-                rep.check(prefix + square, law, True)
-        else:
-            rep.extend(
-                linear_morphism_report(
-                    f"over the {name}", c.H, f, concatenated(summands, b.base, fixed=fixed), dst
-                ),
-                prefix=prefix,
-            )
+    linear: dict[int, Report] = {}
+
+    def witness(fixed: int, k: int) -> Optional[str]:
+        if fixed not in linear:
+            name, f, dst = over[fixed]
+            src = concatenated(summands, b.base, fixed=fixed)
+            linear[fixed] = linear_morphism_report(f"over the {name}", c.H, f, src, dst)
+        return linear[fixed].records[k].witness
+
+    for fixed, (name, _, _) in enumerate(over):
+        for k, (square, law) in enumerate(LINEAR_SQUARES):
+            rep.decide(f"linearity over the {name}: {square}", law, premise, partial(witness, fixed, k))
     return rep
 
 
-def check_pair(c: Connection, *, decided: bool = False) -> Report:
+def check_pair(c: Connection, d: Optional[Decomposition] = None) -> Report:
     """The joint identities for (K, H): compatibility and decomposition.
 
-    Every law is computed on the given H unless ``decided``, as in
-    ``check_horizontal``.
+    ``d`` decides them as in ``check_horizontal``.
     """
     b = c.bundle
     rep = Report(subject="connection pair")
     if c.H is None:
         rep.check("presence", "a horizontal map is supplied", False, "no H given")
         return rep
+    premise = "uniqueness of H" if _horizontal_is_forced(c, d) else None
     e = b.total.dim
 
     def compatibility() -> tuple[PolyMap, PolyMap]:
@@ -226,12 +235,12 @@ def check_pair(c: Connection, *, decided: bool = False) -> Report:
         horizontal_part = compose(section_target(b), c.H)
         return tangent_bundle(b.total).add(vertical_part, horizontal_part), PolyMap.identity(2 * e)
 
-    rep.check_built("compatibility", "H then K factors through the zero section", compatibility, decided)
-    rep.check_built(
+    rep.decide("compatibility", "H then K factors through the zero section", premise, compatibility)
+    rep.decide(
         "decomposition of the identity",
         "vertical part plus horizontal part is the identity on TE",
+        premise,
         decomposition,
-        decided,
     )
     return rep
 
@@ -288,10 +297,17 @@ def _partials_by_additivity(c: Connection) -> bool:
     additive morphism over both projections (``additive_morphism_report``;
     its base square is the gate's projection square).  Between differential
     bundles a linear morphism is additive (Cockett and Cruttwell), so past
-    the gate this fails only on a bundle that is not one.  A passing record
-    carries no witness, so its bytes are the transported comparison's; when
-    this returns False the caller transports both partial bundles and
-    compares them, so every witness is unchanged.
+    the gate this fails only on a bundle that is not one.  That a passing
+    chain implies a differential bundle is not proved here: the evidence is
+    a seeded search over about a hundred perturbed connections, in which
+    ``verify_bundle`` passed on the bundle of every connection that passed
+    (tests/test_premises.py).
+
+    The caller records both partial-bundle records by the premise
+    "additivity of K" when this returns True.  A passing record carries no
+    witness, so its bytes are the transported comparison's; when this
+    returns False the caller transports both partial bundles and compares
+    them, so every witness is unchanged.
     """
     b = c.bundle
     q, e = b.q, b.total.dim
@@ -338,14 +354,15 @@ def _effectiveness(c: Connection, vert: Report) -> _Effectiveness:
             want,
         )
     rep.extend(injections)
-    decided = _partials_by_additivity(c)
+    premise = "additivity of K" if _partials_by_additivity(c) else None
     partials = (
         ("first partial bundle", "equals the tangent bundle of the total space", tangent_bundle(b.total)),
         ("second partial bundle", "equals the tangent of the bundle", b.tangent),
     )
     for j, (name, law, want) in enumerate(partials):
-        d = None if decided else bundle_difference(partial_bundle(recog.biproduct, j), want)
-        rep.check(name, law, d is None, d)
+        rep.decide(
+            name, law, premise, lambda j=j, want=want: bundle_difference(partial_bundle(recog.biproduct, j), want)
+        )
     decomp = None
     if rep.passed:
         decomp = Decomposition(biproduct=recog.biproduct)
@@ -367,28 +384,18 @@ def check_effective(c: Connection) -> tuple[Report, Optional[Decomposition]]:
     return eff.report, eff.decomposition
 
 
-@dataclass(frozen=True)
-class _Chain:
-    """The reports of one pass through the connection checks, in order."""
-
-    vertical: Report
-    effectiveness: _Effectiveness
-    # on the given H, or on the one read off the decomposition; only when K
-    # is effective
-    horizontal: Optional[Report] = None
-    pair: Optional[Report] = None
-
-
-def _horizontal_is_forced(c: Connection, d: Decomposition) -> bool:
+def _horizontal_is_forced(c: Connection, d: Optional[Decomposition]) -> bool:
     """Whether every horizontal and pair record passes, decided without composites.
 
-    It is asked once every effectiveness record has passed, so theta =
+    d is the decomposition ``check_effective`` returned for c's bundle and
+    K; one of another bundle or K, or none, decides nothing.  It is returned
+    once every effectiveness record has passed, so theta =
     <p_E, T(q), K> : TE -> C = (x, w, u, k) has a two-sided inverse, and d
     holds it.  Write D = iota_12 theta^-1 (``Decomposition.horizontal``),
     with iota_12 (x, w, u) = (x, w, u, zeta_w(x)) and zeta_w the fibre part
-    of zeta.  It holds when H is absent (``_chain`` then checks D) or H = D,
-    and every record of ``check_horizontal`` and ``check_pair`` on D then
-    passes, as follows.
+    of zeta.  It holds when H = D (``verify_connection`` checks D when no H
+    is supplied), and every record of ``check_horizontal`` and
+    ``check_pair`` on D then passes, as follows.
 
     Uniqueness.  The x, w, u components of theta are U = <p_E, T(q)>, so
     H theta = <H U, H K>.  The section record says H U = 1 and the
@@ -421,23 +428,22 @@ def _horizontal_is_forced(c: Connection, d: Decomposition) -> bool:
     bundle of E is carried from P_0: theta^-1 (x, w, u, k) = xi.  That is
     the sum's resolution of the identity, read in the first partial bundle.
 
+    That b is a differential bundle, which makes P_j one, is not checked
+    here; ``_partials_by_additivity`` leans on it too.  The evidence that a
+    passing chain implies it is a seeded search, not a proof: over about a
+    hundred perturbed connections, ``verify_bundle`` passed on the bundle
+    of every connection that passed (tests/test_premises.py).
+
     A passing record carries no witness, so the decided records' bytes are
     the computed ones'.  ``equivalence_suite`` still computes them: its pair
     leg is the executable form of this argument.
     """
-    return c.H is None or map_equal(c.H, d.horizontal())
-
-
-def _chain(c: Connection, *, decide: bool) -> _Chain:
-    """One pass through the checks; with ``decide``, a forced H's records are decided, not computed."""
-    vert = check_vertical(c)
-    eff = _effectiveness(c, vert)
-    d = eff.decomposition
-    if d is None:
-        return _Chain(vert, eff)
-    full = c if c.H is not None else replace(c, H=d.horizontal())
-    decided = decide and _horizontal_is_forced(c, d)
-    return _Chain(vert, eff, check_horizontal(full, decided=decided), check_pair(full, decided=decided))
+    return (
+        d is not None
+        and d.biproduct.summands[0] == c.bundle
+        and map_equal(d.biproduct.projections[2], c.K)
+        and map_equal(c.H, d.horizontal)
+    )
 
 
 def verify_connection(c: Connection) -> tuple[Report, Optional[Decomposition]]:
@@ -450,25 +456,33 @@ def verify_connection(c: Connection) -> tuple[Report, Optional[Decomposition]]:
     (``_horizontal_is_forced``); any other H is checked record by record.
     The decomposition is returned when K is effective.
     """
-    chain = _chain(c, decide=True)
+    vert = check_vertical(c)
+    eff = _effectiveness(c, vert)
     rep = Report(subject="connection gate")
-    rep.extend(chain.vertical, prefix="vertical: ")
-    rep.extend(chain.effectiveness.report, prefix="effectiveness: ")
-    if chain.horizontal is not None:
-        rep.extend(chain.horizontal, prefix="horizontal: ")
-        rep.extend(chain.pair, prefix="pair: ")
-    return rep, chain.effectiveness.decomposition
+    rep.extend(vert, prefix="vertical: ")
+    rep.extend(eff.report, prefix="effectiveness: ")
+    d = eff.decomposition
+    if d is not None:
+        full = c if c.H is not None else replace(c, H=d.horizontal)
+        rep.extend(check_horizontal(full, d), prefix="horizontal: ")
+        rep.extend(check_pair(full, d), prefix="pair: ")
+    return rep, d
 
 
-def derive_horizontal(c: Connection) -> Connection:
-    """Recover H as the injection of the first two summands of the sum."""
+def effective_decomposition(c: Connection) -> Decomposition:
+    """The decomposition of an effective K; a ShapeError names the failing records otherwise."""
     rep, decomp = check_effective(c)
     if decomp is None:
         raise ShapeError(
             "horizontal derivation needs an effective vertical map: "
             + "; ".join(r.name for r in rep.failing())
         )
-    return replace(c, H=decomp.horizontal())
+    return decomp
+
+
+def derive_horizontal(c: Connection) -> Connection:
+    """Recover H as the injection of the first two summands of the sum."""
+    return replace(c, H=effective_decomposition(c).horizontal)
 
 
 def christoffel_connection(
@@ -524,20 +538,6 @@ def decompose_point(
     return eval_map(p1, xs), eval_map(p2, xs), eval_map(p3, xs)
 
 
-def recompose_point(
-    d: Decomposition,
-    parts: tuple[Sequence[Fraction], Sequence[Fraction], Sequence[Fraction]],
-) -> tuple[Fraction, ...]:
-    """Reassemble a point of TE from its three components via the inverse pairing."""
-    b = d.biproduct.summands[0]
-    m = b.base.dim
-    first, second, third = (tuple(Fraction(v) for v in p) for p in parts)
-    if not (first[:m] == second[:m] == third[:m]):
-        raise ShapeError("components disagree on the base point")
-    packed = first + second[m:] + third[m:]
-    return eval_map(d.theta_inv, list(packed))
-
-
 def equivalence_suite(c: Connection) -> Report:
     """Check that the four presentations of a connection agree on this instance.
 
@@ -554,8 +554,8 @@ def equivalence_suite(c: Connection) -> Report:
     """
     b = c.bundle
     rep = Report(subject="equivalence of presentations")
-    chain = _chain(c, decide=False)
-    vert, eff = chain.vertical, chain.effectiveness
+    vert = check_vertical(c)
+    eff = _effectiveness(c, vert)
     eff_rep, decomp = eff.report, eff.decomposition
     legs = (
         ("pair presentation", "a compatible horizontal map exists"),
@@ -571,8 +571,9 @@ def equivalence_suite(c: Connection) -> Report:
     else:
         # Leg 1: some H makes (K, H) a full connection pair, with H read off
         # the decomposition when none is supplied.
-        if chain.horizontal is not None:
-            hor, pair = chain.horizontal, chain.pair
+        if decomp is not None:
+            full = c if c.H is not None else replace(c, H=decomp.horizontal)
+            hor, pair = check_horizontal(full), check_pair(full)
             rep.check(*legs[0], hor.passed and pair.passed,
                       "; ".join(r.name for r in (*hor.failing(), *pair.failing())) or None)
         else:

@@ -19,6 +19,13 @@ Axioms 2 and 3 of a differential bundle, two of the tangent-structure
 equations (``check_tangent_axioms``), and the additivity of a connection's
 vertical map say that a pair of maps is an additive bundle morphism;
 ``additive_morphism_report`` is the one check for that.
+
+Four premises decide records here without their composites, each through
+``Report.decide``: "fibrewise linear" the zero and addition records of
+``additive_morphism_report``, and, with no computed path, "standard
+position" axiom 1, "two-sided inverse" the "left inverse" of axiom 4 and
+"T is a functor" its "preserved by T".  Each proof is in the docstring or
+comment beside its record.
 """
 
 from __future__ import annotations
@@ -167,8 +174,9 @@ def additive_morphism_report(
     When both bundles add as trivial bundles do (``adds_fibrewise``), the
     base square has passed and every term of g's fibre components has
     degree exactly one in src's fibre coordinates, the other two records
-    pass without their composites.  g's base components are f of the base
-    point, by the base square, so both sides of each record agree there.
+    pass by the premise "fibrewise linear", without their composites.  g's
+    base components are f of the base point, by the base square, so both
+    sides of each record agree there.
     In the fibre, g(y, 0) = 0 because every term holds a fibre variable,
     and g(y, w1 + w2) = g(y, w1) + g(y, w2) because every term is linear in
     them.  A passing record carries no witness, so the report is the one
@@ -177,19 +185,19 @@ def additive_morphism_report(
     rep = Report(subject=subject)
     base = rep.check_equal("base square", "q f = g r", compose(src.q, f), compose(g, dst.q))
     fibre = src.fibre_coords
-    if base and src.adds_fibrewise and dst.adds_fibrewise and all(
+    fibrewise = base and src.adds_fibrewise and dst.adds_fibrewise and all(
         sum(exps[i] for i in fibre) == 1 for k in dst.fibre_coords for exps, _ in g.components[k].terms
-    ):
-        rep.check("zero preservation", "zeta g = f zeta'", True)
-        rep.check("addition preservation", "sigma g = (g x g) sigma'", True)
-        return rep
-    rep.check_equal("zero preservation", "zeta g = f zeta'", compose(src.zeta, g), compose(f, dst.zeta))
-    g_twice = [compose(power_proj(src.total.dim, src.base_coords, 2, i), g) for i in (1, 2)]
-    rep.check_built(
-        "addition preservation",
-        "sigma g = (g x g) sigma'",
-        lambda: (compose(src.sigma, g), dst.add(*g_twice)),
     )
+    premise = "fibrewise linear" if fibrewise else None
+    rep.decide(
+        "zero preservation", "zeta g = f zeta'", premise, lambda: (compose(src.zeta, g), compose(f, dst.zeta))
+    )
+
+    def addition() -> tuple[PolyMap, PolyMap]:
+        g1, g2 = (compose(power_proj(src.total.dim, src.base_coords, 2, i), g) for i in (1, 2))
+        return compose(src.sigma, g), dst.add(g1, g2)
+
+    rep.decide("addition preservation", "sigma g = (g x g) sigma'", premise, addition)
     return rep
 
 
@@ -272,11 +280,12 @@ def check_universality(b: DiffBundle) -> Report:
     cannot-certify when only the inverter's degree budget ran out.
 
     Two records are decided by their premises, so no composite is built
-    for them.  "left inverse": mu nu is the restricted mu followed by its
-    inverse, and the inverse ``invert_polymap`` returns is two-sided.
-    "preserved by T": it is reached only once "right inverse on
-    subvariety" has passed, and it is T of that identity; T is a functor
-    on polynomial maps (the chain rule holds exactly), so it passes.
+    for them.  "left inverse", by "two-sided inverse": mu nu is the
+    restricted mu followed by its inverse, and the inverse
+    ``invert_polymap`` returns is two-sided.  "preserved by T", by "T is a
+    functor": it is reached only once "right inverse on subvariety" has
+    passed, and it is T of that identity; T is a functor on polynomial maps
+    (the chain rule holds exactly), so it passes.
     """
     rep = Report(subject="lift universality (axiom 4)")
     e = b.total.dim
@@ -303,14 +312,14 @@ def check_universality(b: DiffBundle) -> Report:
     nu = compose(PolyMap.selection(2 * e, out_positions), solved)
 
     zero_sub = _zero_tangent_base(b)
-    rep.check("left inverse", "nu mu = 1", True)
+    rep.decide("left inverse", "nu mu = 1", "two-sided inverse")
     if rep.check_equal(
         "right inverse on subvariety",
         "mu nu = 1 where T(q) vanishes",
         compose_all(zero_sub, nu, mu),
         zero_sub,
     ):
-        rep.check("preserved by T", "T(nu) inverts T(mu) on the T-level subvariety", True)
+        rep.decide("preserved by T", "T(nu) inverts T(mu) on the T-level subvariety", "T is a functor")
     return rep
 
 
@@ -329,11 +338,12 @@ def verify_bundle(b: DiffBundle) -> Report:
     # associativity laws impossible to form, which refutes the law in question.
     rep.check_equal("commutativity", "swap sigma = sigma", b.add(p2, p1), b.sigma)
     one = PolyMap.identity(e)
-    rep.check_built("unit", "<q zeta, 1> sigma = 1", lambda: (b.add(compose(q, b.zeta), one), one))
+    rep.decide("unit", "<q zeta, 1> sigma = 1", None, lambda: (b.add(compose(q, b.zeta), one), one))
     q1, q2, q3 = (power_proj(e, bc, 3, i) for i in (1, 2, 3))
-    rep.check_built(
+    rep.decide(
         "associativity",
         "(a+b)+c = a+(b+c)",
+        None,
         lambda: (b.add(b.add(q1, q2), q3), b.add(q1, b.add(q2, q3))),
     )
 
@@ -341,7 +351,7 @@ def verify_bundle(b: DiffBundle) -> Report:
     # fibre square is a Cartesian space, and T of its two projections selects
     # (x, dx) of each; together they cover every coordinate of T of the
     # square, so pairing them into themselves is the identity.
-    rep.check("tangential fibre power", "T preserves the square cone", True)
+    rep.decide("tangential fibre power", "T preserves the square cone", "standard position")
 
     # Axioms 2 and 3: (lift, 0_M) is additive into T of the bundle, and
     # (lift, zeta) into the tangent bundle of the total space.

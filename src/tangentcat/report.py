@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .polycore import NotInvertible, PolyMap, ShapeError, first_difference, map_equal
 
@@ -21,6 +21,8 @@ class CheckRecord:
     law: str  # the identity or axiom the record tests, e.g. "lambda K = 1"
     status: Status
     witness: Optional[str] = None
+    # what decided a pass without its composites (``Report.decide``); not output
+    premise: Optional[str] = field(default=None, compare=False)
 
 
 @dataclass
@@ -41,23 +43,33 @@ class Report:
         self.add(CheckRecord(name, law, Status.FAIL, first_difference(lhs, rhs)))
         return False
 
-    def check_built(
-        self, name: str, law: str, build: Callable[[], tuple[PolyMap, PolyMap]], decided: bool = False
+    def decide(
+        self,
+        name: str,
+        law: str,
+        premise: Optional[str],
+        build: Optional[Callable[[], Union[tuple[PolyMap, PolyMap], Optional[str]]]] = None,
     ) -> bool:
-        """Record the equality of the two maps ``build()`` returns.
+        """Record a law, passed by its ``premise`` or else decided by ``build()``.
 
-        A pairing that cannot be formed, because its parts lie over different
-        base points, refutes the law; its message is the witness.  A law the
-        caller has ``decided`` from its premises passes without ``build``
-        being called.
+        A premise names what makes the law hold without its composites: a
+        pass so decided keeps the premise in ``CheckRecord.premise``, which
+        no output writes, so its bytes are those of a computed pass.  With
+        no premise, ``build()`` returns either the two maps the law equates,
+        compared exactly, or the comparison's witness (None when it holds).
+        A pairing that cannot be formed, because its parts lie over
+        different base points, refutes the law; its message is the witness.
         """
-        if decided:
-            return self.check(name, law, True)
+        if premise is not None:
+            self.add(CheckRecord(name, law, Status.PASS, premise=premise))
+            return True
         try:
-            lhs, rhs = build()
+            built = build()
         except ShapeError as exc:
             return self.check(name, law, False, str(exc))
-        return self.check_equal(name, law, lhs, rhs)
+        if isinstance(built, tuple):
+            return self.check_equal(name, law, *built)
+        return self.check(name, law, built is None, built)
 
     def check(self, name: str, law: str, ok: bool, witness: Optional[str] = None) -> bool:
         self.add(CheckRecord(name, law, Status.PASS if ok else Status.FAIL, None if ok else witness))
@@ -76,8 +88,12 @@ class Report:
         self.add(CheckRecord(name, law, Status.CANNOT_CERTIFY, witness))
 
     def extend(self, other: "Report", prefix: str = "") -> None:
+        if not prefix:
+            # records are frozen, so both reports can hold the same ones
+            self.records.extend(other.records)
+            return
         for r in other.records:
-            self.add(CheckRecord(prefix + r.name, r.law, r.status, r.witness))
+            self.add(CheckRecord(prefix + r.name, r.law, r.status, r.witness, r.premise))
 
     @property
     def verdict(self) -> Status:

@@ -1,20 +1,24 @@
 """Additive structure on bundles over a fixed base: sums, biproducts, partials.
 
 Morphisms between two bundles over the same base form a commutative monoid:
-the zero morphism routes through the base and the zero section, and addition
-pairs into the codomain's fibre square and applies its addition map.  Finite
-biproducts (Whitney sums) are realized canonically with the total space being
-the base block followed by the fibre blocks in order; any other presentation
-is handled by recognizing a comparison isomorphism onto the canonical model
-and transporting the structure across it.  A biproduct also induces, for each
-summand index, a *partial* bundle structure on the whole total space over
-that summand, which fixes the chosen block and adds the remaining ones; the
-sum and its partial bundles are built by one construction of the model,
-``concatenated``.  A sum is always handled through its comparison
-isomorphism: its biproduct laws and its axioms are decided on the model
-first, its partial bundles are the model's transported along it, and the
+the zero morphism q ; zeta' routes through the base and the zero section, and
+addition is the codomain's ``DiffBundle.add``, which pairs into its fibre
+square and applies its addition map; ``biproduct_laws`` writes its laws with
+both.  Finite biproducts (Whitney sums) are realized canonically with the
+total space being the base block followed by the fibre blocks in order; any
+other presentation is handled by recognizing a comparison isomorphism onto the
+canonical model and transporting the structure across it.  A biproduct also
+induces, for each summand index, a *partial* bundle structure on the whole
+total space over that summand, which fixes the chosen block and adds the
+remaining ones; the sum and its partial bundles are built by one construction
+of the model, ``concatenated``.  A sum is always handled through its
+comparison isomorphism: its biproduct laws and its axioms are decided on the
+model first, its partial bundles are the model's transported along it, and the
 sum itself is transported only when it is read.  For a sum built by
 ``biproduct`` the isomorphism is the identity and the sum is the model.
+Deciding a law on the model is a choice of where to compute it: every such
+record is computed.  The one record passed by a premise is a recognition's
+"tangential", by "T is a functor" through ``Report.decide``.
 """
 
 from __future__ import annotations
@@ -57,20 +61,6 @@ def _positions(summands: Sequence[DiffBundle], m: int, i: int) -> list[int]:
     for k, p in enumerate(s.fibre_coords):
         pos[p] = start + k
     return pos
-
-
-def hom_zero(src: DiffBundle, dst: DiffBundle) -> PolyMap:
-    """The zero morphism between bundles over the same base: q then zeta'."""
-    if src.base.dim != dst.base.dim:
-        raise ShapeError("hom_zero requires bundles over the same base")
-    return compose(src.q, dst.zeta)
-
-
-def hom_add(f: PolyMap, g: PolyMap, src: DiffBundle, dst: DiffBundle) -> PolyMap:
-    """The sum of two morphisms over the base: pair into the square, then add."""
-    if src.base.dim != dst.base.dim:
-        raise ShapeError("hom_add requires bundles over the same base")
-    return dst.add(f, g)
 
 
 @dataclass(frozen=True)
@@ -211,13 +201,11 @@ def biproduct_laws(bp: BiproductBundle) -> Report:
                     f"annihilation {i + 1},{j + 1}",
                     "injection then foreign projection is the zero morphism",
                     compose(bp.injections[i], bp.projections[j]),
-                    hom_zero(bp.summands[i], bp.summands[j]),
+                    compose(bp.summands[i].q, bp.summands[j].zeta),
                 )
-    total = hom_zero(bp.sum, bp.sum)
+    total = compose(bp.sum.q, bp.sum.zeta)
     for i in range(r):
-        total = hom_add(
-            total, compose(bp.projections[i], bp.injections[i]), bp.sum, bp.sum
-        )
+        total = bp.sum.add(total, compose(bp.projections[i], bp.injections[i]))
     rep.check_equal(
         "resolution of identity",
         "sum of projection-injection composites is the identity",
@@ -253,9 +241,9 @@ def recognize_biproduct(
     witness, or is cannot-certify when only the degree budget ran out, and
     the recognition carries the exception as its ``refutation``.
 
-    The "tangential" record is decided by the returned inverse: T is a
-    functor on polynomial maps, so T(psi) T(psi^-1) = T(psi psi^-1) = T(1),
-    the identity, once ``invert_polymap`` has returned psi^-1.
+    The "tangential" record is decided by the premise "T is a functor": T
+    is a functor on polynomial maps, so T(psi) T(psi^-1) = T(psi psi^-1) =
+    T(1), the identity, once ``invert_polymap`` has returned psi^-1.
 
     The biproduct laws are decided on C.  Once the "common base" records
     pass, the i-th given projection is psi pi_i, with pi_i the model's
@@ -309,7 +297,7 @@ def recognize_biproduct(
         rep.no_inverse("comparison inversion", "comparison map onto the concatenated model is invertible", exc)
         return Recognition(rep, None, exc)
     rep.check("comparison isomorphism", "two-sided polynomial inverse found", True, None)
-    rep.check("tangential", "the comparison map stays invertible under T", True)
+    rep.decide("tangential", "the comparison map stays invertible under T", "T is a functor")
     # psi q_C, the sum's projection, is the common base map
     if base_maps[0].selected is None:
         rep.cannot_certify(
@@ -377,15 +365,3 @@ def partial_bundle(bp: BiproductBundle, j: int) -> DiffBundle:
         raise ShapeError(f"partial-bundle index {j} out of range")
     canon = concatenated(bp.summands, bp.model.base, fixed=j)
     return transport_bundle(canon, bp.to_canonical, bp.from_canonical, bp.total)
-
-
-def partial_add(f: PolyMap, g: PolyMap, bp: BiproductBundle, j: int) -> PolyMap:
-    """Add two maps into the sum blockwise, holding the j-th block fixed."""
-    if not 0 <= j < len(bp.summands):
-        raise ShapeError(f"partial-addition index {j} out of range")
-    fj, gj = compose(f, bp.projections[j]), compose(g, bp.projections[j])
-    diff = first_difference(fj, gj)
-    if diff is not None:
-        raise ShapeError(f"operands disagree on the fixed block: {diff}")
-    return partial_bundle(bp, j).add(f, g)
-

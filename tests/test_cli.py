@@ -288,6 +288,21 @@ def test_total_bundle_writes_verified_structure(tmp_path, capsys):
     assert [str(p) for p in bundle.zeta.components] == ["x0", "0", "0", "0"]
 
 
+@pytest.mark.parametrize("command, tag", [("derive-h", "h"), ("total-bundle", "total")])
+def test_an_unwritable_sidecar_exits_1_naming_it(tmp_path, capsys, command, tag):
+    """A directory where the sidecar goes cannot be replaced by a file: the
+    command exits 1 with a message naming the sidecar, prints no report, and
+    leaves no temp file behind."""
+    path = write_connection(tmp_path, christoffel_linear())
+    sidecar = tmp_path / f"conn.{tag}.json"
+    sidecar.mkdir()
+    assert main([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {sidecar}: ")
+    assert sidecar.is_dir() and {p.name for p in tmp_path.iterdir()} == {"conn.json", sidecar.name}
+
+
 def _trivial_over_a_point():
     """R^0 x R with K = (w, w') -> w'."""
     from tangentcat.dbundle import trivial_bundle

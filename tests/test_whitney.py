@@ -27,9 +27,6 @@ from tangentcat.dbundle import (
 from tangentcat.whitney import (
     biproduct,
     biproduct_laws,
-    hom_add,
-    hom_zero,
-    partial_add,
     partial_bundle,
     recognize_biproduct,
     verify_sum,
@@ -49,19 +46,20 @@ def small_bundles(n):
 # -------------------------------------------------------------- hom monoid
 
 
-def test_hom_zero_formula_and_linearity():
+def test_zero_morphism_formula_and_linearity():
+    """The zero morphism between bundles over one base is q then zeta'."""
     b = trivial_bundle(Space.euclidean(1), 1)
-    zero = hom_zero(b, b)
+    zero = compose(b.q, b.zeta)
     assert zero == PolyMap.from_components(2, [x(2, 0), Polynomial.zero(2)])
     assert linear_morphism_report("zero", zero, PolyMap.identity(1), b, b).passed
 
 
-def test_hom_add_identity_with_itself():
+def test_add_identity_with_itself():
     b = trivial_bundle(Space.euclidean(1), 1)
-    doubled = hom_add(PolyMap.identity(2), PolyMap.identity(2), b, b)
+    doubled = b.add(PolyMap.identity(2), PolyMap.identity(2))
     assert doubled == PolyMap.from_components(2, [x(2, 0), x(2, 1).scale(2)])
     tm = tangent_bundle(Space.euclidean(1))
-    assert hom_add(PolyMap.identity(2), PolyMap.identity(2), tm, tm) == PolyMap.from_components(
+    assert tm.add(PolyMap.identity(2), PolyMap.identity(2)) == PolyMap.from_components(
         2, [x(2, 0), x(2, 1).scale(2)]
     )
 
@@ -72,15 +70,10 @@ def test_hom_monoid_laws():
     f = PolyMap.from_components(e, [x(e, 0), x(e, 1).scale(2), x(e, 2)])
     g = PolyMap.from_components(e, [x(e, 0), x(e, 2), x(e, 1) + x(e, 2)])
     h = PolyMap.from_components(e, [x(e, 0), x(e, 1) * x(e, 0), x(e, 2).scale(-1)])
-    zero = hom_zero(b, b)
-    assert hom_add(f, g, b, b) == hom_add(g, f, b, b)
-    assert hom_add(hom_add(f, g, b, b), h, b, b) == hom_add(f, hom_add(g, h, b, b), b, b)
-    assert hom_add(f, zero, b, b) == f
-
-
-def test_hom_zero_base_mismatch():
-    with pytest.raises(ShapeError):
-        hom_zero(trivial_bundle(Space.euclidean(1), 1), trivial_bundle(Space.euclidean(2), 1))
+    zero = compose(b.q, b.zeta)
+    assert b.add(f, g) == b.add(g, f)
+    assert b.add(b.add(f, g), h) == b.add(f, b.add(g, h))
+    assert b.add(f, zero) == f
 
 
 # --------------------------------------------------------------- biproducts
@@ -333,30 +326,32 @@ def _endo(bp, i):
 
 
 def _keep(bp, indices):
-    acc = hom_zero(bp.sum, bp.sum)
+    acc = compose(bp.sum.q, bp.sum.zeta)
     for i in indices:
-        acc = hom_add(acc, _endo(bp, i), bp.sum, bp.sum)
+        acc = bp.sum.add(acc, _endo(bp, i))
     return acc
 
 
-def test_partial_add_blockwise_formula():
+def test_partial_bundle_add_blockwise_formula():
     tm = tangent_bundle(Space.euclidean(1))
     bp = biproduct([tm, tm, tm])
     f = PolyMap.identity(4)
     g = PolyMap.identity(4)
-    summed = partial_add(f, g, bp, 1)
+    summed = partial_bundle(bp, 1).add(f, g)
     assert summed == PolyMap.from_components(
         4, [x(4, 0), x(4, 1).scale(2), x(4, 2), x(4, 3).scale(2)]
     )
 
 
-def test_partial_add_requires_agreement_on_fixed_block():
+def test_partial_bundle_add_requires_agreement_on_fixed_block():
+    """Maps that differ on the fixed block lie over different base points
+    of the partial bundle, so they cannot be paired into its fibre square."""
     tm = tangent_bundle(Space.euclidean(1))
     bp = biproduct([tm, tm])
     f = PolyMap.identity(3)
     g = PolyMap.from_components(3, [x(3, 0), x(3, 1) + x(3, 2), x(3, 2) + x(3, 2)])
     with pytest.raises(ShapeError):
-        partial_add(f, g, bp, 1)
+        partial_bundle(bp, 1).add(f, g)
 
 
 def test_injection_sum_lemma_every_index():
@@ -367,7 +362,7 @@ def test_injection_sum_lemma_every_index():
     bp = biproduct([tm, tv, tm])
     for j in range(3):
         i, k = (t for t in range(3) if t != j)
-        lhs = partial_add(_endo(bp, i), _endo(bp, k), bp, j)
+        lhs = partial_bundle(bp, j).add(_endo(bp, i), _endo(bp, k))
         assert map_equal(lhs, _keep(bp, [i, k]))
 
 
@@ -378,7 +373,7 @@ def test_identity_resolution_lemma_every_enumeration():
     tv = trivial_bundle(Space.euclidean(1), 1)
     bp = biproduct([tm, tv, tm])
     for i, j, k in permutations(range(3)):
-        lhs = partial_add(_keep(bp, [i, k]), _keep(bp, [i, j]), bp, i)
+        lhs = partial_bundle(bp, i).add(_keep(bp, [i, k]), _keep(bp, [i, j]))
         assert map_equal(lhs, PolyMap.identity(bp.sum.total.dim))
 
 
