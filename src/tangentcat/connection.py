@@ -21,13 +21,13 @@ decomposition, pass the seven horizontal and joint identities of that H
 (``_horizontal_is_forced``) and check any other H identity by identity;
 ``verify_connection`` and the CLI's ``derive-h`` pass them the
 decomposition.  "additivity of K": the sum's two partial bundles, over E
-and over TM, must be the tangent bundle of E and T of the bundle; they are
-decided from K's additivity over both projections and four squares of the
-bundle's own structure (``_partials_by_additivity``), and are transported
-along the inverse pairing to be compared only when that does not decide
-them.  All verdicts are exact: a pairing with no inverse fails with an exact
-refutation witness, and is cannot-certify only when the inverter's degree
-budget runs out.
+and over TM, must be the tangent bundle of E and T of the bundle; once
+every effectiveness record before them has passed, they are decided from
+K's additivity over both projections (``_partials_by_additivity``), and are
+transported along the inverse pairing to be compared only when that does
+not decide them.  All verdicts are exact: a pairing with no inverse fails
+with an exact refutation witness, and is cannot-certify only when the
+inverter's degree budget runs out.
 
 Coordinate conventions: the bundle must have its base coordinates leading, so
 E = (x, w), TE = (x, w, u, v) with u the tangent of x and v the tangent of w,
@@ -38,13 +38,12 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .polycore import (
-    NotInvertible,
     PolyMap,
     Polynomial,
     ShapeError,
@@ -53,7 +52,6 @@ from .polycore import (
     eval_map,
     map_equal,
     power_pair,
-    power_proj,
 )
 from .report import Report, Status
 from .dbundle import (
@@ -105,7 +103,8 @@ class Decomposition:
     """TE presented as a three-summand Whitney sum through an invertible pairing.
 
     The pairing theta = <p_E, T(q), K> : TE -> E x_M TM x_M E is the
-    comparison map of the sum onto its concatenated model.
+    comparison map of the sum onto its concatenated model,
+    ``biproduct.to_canonical``; theta^-1 is ``biproduct.from_canonical``.
     """
 
     biproduct: BiproductBundle
@@ -114,14 +113,6 @@ class Decomposition:
     def total(self) -> DiffBundle:
         """The sum on TE, transported from its model when first read."""
         return self.biproduct.sum
-
-    @property
-    def theta(self) -> PolyMap:
-        return self.biproduct.to_canonical
-
-    @property
-    def theta_inv(self) -> PolyMap:
-        return self.biproduct.from_canonical
 
     @cached_property
     def horizontal(self) -> PolyMap:
@@ -133,7 +124,7 @@ class Decomposition:
             PolyMap.identity(hat).components
             + compose(PolyMap.selection(hat, range(b.base.dim)), fibre_part(b, b.zeta)).components,
         )
-        return compose(iota12, self.theta_inv)
+        return compose(iota12, self.biproduct.from_canonical)
 
 
 def section_target(b: DiffBundle) -> PolyMap:
@@ -245,30 +236,23 @@ def check_pair(c: Connection, d: Optional[Decomposition] = None) -> Report:
     return rep
 
 
-@dataclass(frozen=True)
-class _Effectiveness:
-    """The effectiveness report with the parts ``equivalence_suite`` compares."""
-
-    report: Report
-    decomposition: Optional[Decomposition] = None
-    # what the inversion of theta raised, when the gate passed but theta
-    # did not invert
-    refutation: Optional[NotInvertible] = None
-    # the injections against the structural maps, once the sum is recognized
-    injections: Report = field(default_factory=lambda: Report(subject="injections"))
+# The law of the three injection records, which the product presentation
+# of ``equivalence_suite`` does not compare.
+_INJECTION_LAW = "injection matches the structural map"
 
 
 def _partials_by_additivity(c: Connection) -> bool:
     """Whether both partial-bundle records pass, decided without theta^-1.
 
-    It is asked once the vertical gate has passed and theta =
-    <p_E, T(q), K> : TE -> C = (x, w, u, k) has a two-sided inverse.  The
-    j-th record compares P_j, the model's partial bundle transported along
-    theta, with B_j: B_0 is the tangent bundle of E over E and B_1 is T(b)
-    over TM.  ``transport_bundle`` sets sigma' = kappa sigma_P theta^-1,
-    zeta' = zeta_P theta^-1 and lift' = theta lift_P T(theta^-1).  Since
-    theta theta^-1 = 1 and T(theta) T(theta^-1) = T(1) (T is a functor), the
-    record passes once
+    It is asked once every effectiveness record written before them has
+    passed: the vertical gate, the inversion of theta = <p_E, T(q), K> :
+    TE -> C = (x, w, u, k), the Whitney sum's records and the three
+    injections.  The j-th record compares P_j, the model's partial bundle
+    transported along theta, with B_j: B_0 is the tangent bundle of E over
+    E and B_1 is T(b) over TM.  ``transport_bundle`` sets sigma' = kappa
+    sigma_P theta^-1, zeta' = zeta_P theta^-1 and lift' = theta lift_P
+    T(theta^-1).  Since theta theta^-1 = 1 and T(theta) T(theta^-1) = T(1)
+    (T is a functor), the record passes once
 
         kappa sigma_P = sigma_B theta,  zeta_P = zeta_B theta,
         theta lift_P = lift_B T(theta).
@@ -278,10 +262,19 @@ def _partials_by_additivity(c: Connection) -> bool:
     - The x, w and u components of theta select p_E and T(q), so there
       both sides read b's structure alone.  For j = 0 they agree as they
       stand.  For j = 1, P_1 is built from b's fibre parts alone and B_1 =
-      T(b) from its whole structure; they agree when b lies over its base
-      as a differential bundle does: zeta q = 1, sigma q = pi_1 q (axiom
-      0), lift p_E = q zeta and lift T(q) = q 0_M (the base squares of
-      axioms 3 and 2; the last says lift's dx block is zero).
+      T(b) from its whole structure; they agree when b lies over its base:
+      zeta q = 1, sigma q = pi_1 q, lift p_E = q zeta and lift T(q) = q 0_M
+      (the last says lift's dx block is zero).  The records already passed
+      give all four.  "Whitney sum: annihilation 2,1" says iota_2 pi_1 =
+      p_M zeta on C, where iota_2 (x, u) has the E part (x, zeta_w(x)): its
+      base component is zeta q = 1.  The "third injection" record says
+      lift = iota_3 theta^-1, and theta^-1 keeps the x, w and u components,
+      so lift's are x, zeta_w(x) and 0: lift p_E = q zeta and lift T(q) =
+      q 0_M.  The two lifts lift(x, w1) and lift(x, w2) lie over one point
+      of E, so K's addition square over the bundle projection can be taken
+      at them; since K lift = 1 (the gate's retraction), it gives
+      sigma((x, w1), (x, w2)) as K of a point over x, and K's base part is
+      x: sigma q = pi_1 q.
     - The gate's projection squares make K's base part x, so the k
       component of the sigma equation is that of sigma_B K = pi_1 K +
       pi_2 K in b, K's addition preservation over B_j.
@@ -293,15 +286,11 @@ def _partials_by_additivity(c: Connection) -> bool:
       that of the lift square lift_B T(K) = K lift, which the vertical gate
       has passed over both B_j.
 
-    So both records pass when those four squares of b hold and K is an
-    additive morphism over both projections (``additive_morphism_report``;
-    its base square is the gate's projection square).  Between differential
-    bundles a linear morphism is additive (Cockett and Cruttwell), so past
-    the gate this fails only on a bundle that is not one.  That a passing
-    chain implies a differential bundle is not proved here: the evidence is
-    a seeded search over about a hundred perturbed connections, in which
-    ``verify_bundle`` passed on the bundle of every connection that passed
-    (tests/test_premises.py).
+    So both records pass, past those records, when K is an additive
+    morphism over both projections (``additive_morphism_report``; its base
+    square is the gate's projection square).  Between differential bundles
+    a linear morphism is additive (Cockett and Cruttwell), so past the gate
+    this fails only on a bundle that is not one.
 
     The caller records both partial-bundle records by the premise
     "additivity of K" when this returns True.  A passing record carries no
@@ -310,25 +299,16 @@ def _partials_by_additivity(c: Connection) -> bool:
     them, so every witness is unchanged.
     """
     b = c.bundle
-    q, e = b.q, b.total.dim
-    structural = (
-        map_equal(compose(b.zeta, q), PolyMap.identity(b.base.dim))
-        and map_equal(compose(b.sigma, q), compose(power_proj(e, b.base_coords, 2, 1), q))
-        and map_equal(compose(b.lift, proj_p(b.total)), compose(q, b.zeta))
-        and map_equal(compose(b.lift, T_map(q)), compose(q, zero_0(b.base)))
-    )
-    return structural and all(
-        additive_morphism_report("additivity", c.K, f, src, b).passed for _, f, src in _sources(b)
-    )
+    return all(additive_morphism_report("additivity", c.K, f, src, b).passed for _, f, src in _sources(b))
 
 
-def _effectiveness(c: Connection, vert: Report) -> _Effectiveness:
+def _effectiveness(c: Connection, vert: Report) -> tuple[Report, Optional[Decomposition]]:
     """Invert theta past the gate of ``vert``, the ``check_vertical(c)`` report."""
     b = c.bundle
     rep = Report(subject="effectiveness")
     rep.summary("gate", "the vertical identities hold", vert)
     if not vert.passed:
-        return _Effectiveness(rep)
+        return rep, None
     summands = (b, tangent_bundle(b.base), b)
     projections = (proj_p(b.total), T_map(b.q), c.K)
     # The comparison map of this sum is the pairing theta.  The vertical gate
@@ -337,24 +317,15 @@ def _effectiveness(c: Connection, vert: Report) -> _Effectiveness:
     recog = recognize_biproduct(T_obj(b.total), projections, summands)
     if recog.refutation is not None:
         rep.no_inverse("pairing inversion", "the three-way pairing has a two-sided polynomial inverse", recog.refutation)
-        return _Effectiveness(rep, refutation=recog.refutation)
+        return rep, None
     rep.check("pairing inversion", "two-sided polynomial inverse found", True, None)
     rep.extend(recog.report, prefix="Whitney sum: ")
     if recog.biproduct is None:
-        return _Effectiveness(rep)
-    injections = Report(subject="injections")
+        return rep, None
     expected = (zero_0(b.total), T_map(b.zeta), b.lift)
-    for name, got, want in zip(
-        ("first", "second", "third"), recog.biproduct.injections, expected
-    ):
-        injections.check_equal(
-            f"{name} injection",
-            "injection matches the structural map",
-            got,
-            want,
-        )
-    rep.extend(injections)
-    premise = "additivity of K" if _partials_by_additivity(c) else None
+    for name, got, want in zip(("first", "second", "third"), recog.biproduct.injections, expected):
+        rep.check_equal(f"{name} injection", _INJECTION_LAW, got, want)
+    premise = "additivity of K" if rep.passed and _partials_by_additivity(c) else None
     partials = (
         ("first partial bundle", "equals the tangent bundle of the total space", tangent_bundle(b.total)),
         ("second partial bundle", "equals the tangent of the bundle", b.tangent),
@@ -363,10 +334,7 @@ def _effectiveness(c: Connection, vert: Report) -> _Effectiveness:
         rep.decide(
             name, law, premise, lambda j=j, want=want: bundle_difference(partial_bundle(recog.biproduct, j), want)
         )
-    decomp = None
-    if rep.passed:
-        decomp = Decomposition(biproduct=recog.biproduct)
-    return _Effectiveness(rep, decomp, injections=injections)
+    return rep, Decomposition(recog.biproduct) if rep.passed else None
 
 
 def check_effective(c: Connection) -> tuple[Report, Optional[Decomposition]]:
@@ -380,8 +348,7 @@ def check_effective(c: Connection) -> tuple[Report, Optional[Decomposition]]:
     transported when the decomposition's ``total`` is first read.  The
     decomposition is returned only when every record passes.
     """
-    eff = _effectiveness(c, check_vertical(c))
-    return eff.report, eff.decomposition
+    return _effectiveness(c, check_vertical(c))
 
 
 def _horizontal_is_forced(c: Connection, d: Optional[Decomposition]) -> bool:
@@ -429,10 +396,10 @@ def _horizontal_is_forced(c: Connection, d: Optional[Decomposition]) -> bool:
     the sum's resolution of the identity, read in the first partial bundle.
 
     That b is a differential bundle, which makes P_j one, is not checked
-    here; ``_partials_by_additivity`` leans on it too.  The evidence that a
-    passing chain implies it is a seeded search, not a proof: over about a
-    hundred perturbed connections, ``verify_bundle`` passed on the bundle
-    of every connection that passed (tests/test_premises.py).
+    here.  The evidence that a passing chain implies it is a seeded search,
+    not a proof: over about a hundred perturbed connections,
+    ``verify_bundle`` passed on the bundle of every connection that passed
+    (tests/test_premises.py).
 
     A passing record carries no witness, so the decided records' bytes are
     the computed ones'.  ``equivalence_suite`` still computes them: its pair
@@ -457,11 +424,10 @@ def verify_connection(c: Connection) -> tuple[Report, Optional[Decomposition]]:
     The decomposition is returned when K is effective.
     """
     vert = check_vertical(c)
-    eff = _effectiveness(c, vert)
+    eff, d = _effectiveness(c, vert)
     rep = Report(subject="connection gate")
     rep.extend(vert, prefix="vertical: ")
-    rep.extend(eff.report, prefix="effectiveness: ")
-    d = eff.decomposition
+    rep.extend(eff, prefix="effectiveness: ")
     if d is not None:
         full = c if c.H is not None else replace(c, H=d.horizontal)
         rep.extend(check_horizontal(full, d), prefix="horizontal: ")
@@ -555,19 +521,19 @@ def equivalence_suite(c: Connection) -> Report:
     b = c.bundle
     rep = Report(subject="equivalence of presentations")
     vert = check_vertical(c)
-    eff = _effectiveness(c, vert)
-    eff_rep, decomp = eff.report, eff.decomposition
+    eff_rep, decomp = _effectiveness(c, vert)
     legs = (
         ("pair presentation", "a compatible horizontal map exists"),
         ("effective presentation", "vertical identities hold and the pairing inverts"),
         ("sum presentation", "TE is the stated Whitney sum with structural injections and partials"),
         ("product presentation", "K retracts the lift and the pairing exhibits the stated product"),
     )
-    if eff.refutation is not None:
+    inversion = next((r for r in eff_rep.records if r.name == "pairing inversion"), None)
+    if inversion is not None and inversion.status is not Status.PASS:
         # Every leg needs the inverse of theta: each carries its refutation,
         # or the exhausted budget.
         for name, law in legs:
-            rep.no_inverse(name, law, eff.refutation)
+            rep.add(replace(inversion, name=name, law=law))
     else:
         # Leg 1: some H makes (K, H) a full connection pair, with H read off
         # the decomposition when none is supplied.
@@ -588,7 +554,7 @@ def equivalence_suite(c: Connection) -> Report:
             rep.check("product presentation", "retraction plus the stated product", False, why)
         else:
             failures = [r for r in eff_rep.records if r.status is Status.FAIL]
-            product = [r for r in failures if r not in eff.injections.records]
+            product = [r for r in failures if r.law != _INJECTION_LAW]
             rep.check(*legs[2], eff_rep.passed, "; ".join(r.name for r in failures) or None)
             rep.check(*legs[3], not product, "; ".join(r.name for r in product) or None)
 

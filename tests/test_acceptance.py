@@ -247,5 +247,5 @@ def test_criterion_8_decompose_recompose_round_trip():
             ]
             first, second, third = decompose_point(decomp, point)
             m = c.bundle.base.dim
-            ok = ok and eval_map(decomp.theta_inv, list(first + second[m:] + third[m:])) == tuple(point)
+            ok = ok and eval_map(decomp.biproduct.from_canonical, list(first + second[m:] + third[m:])) == tuple(point)
     _verdict(8, ok)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tangentcat.polycore import (
+    NotInvertible,
     Polynomial,
     PolyMap,
     ShapeError,
@@ -152,7 +153,7 @@ def test_canonical_effective_and_decomposition():
     report, decomp = check_effective(c)
     assert report.verdict is Status.PASS
     assert decomp is not None
-    assert map_equal(decomp.theta, PolyMap.identity(4))
+    assert map_equal(decomp.biproduct.to_canonical, PolyMap.identity(4))
     assert verify_bundle(decomp.biproduct.sum).verdict is Status.PASS
 
 
@@ -266,7 +267,7 @@ def test_partials_decided_by_additivity_agree_with_transport(name, shortcut, mon
             assert moved == [None, None], (case, c)
         else:
             fallback += 1
-        records = {r.name: r for r in _effectiveness(c, vert).report.records}
+        records = {r.name: r for r in _effectiveness(c, vert)[0].records}
         got = [records[f"{which} partial bundle"] for which in ("first", "second")]
         assert [(r.status, r.witness) for r in got] == [
             (Status.PASS, None) if d is None else (Status.FAIL, d) for d in moved
@@ -434,7 +435,7 @@ def _recompose(decomp, parts):
     """The point of TE with these three components: theta^-1 of (x, w, u, k)."""
     first, second, third = parts
     m = decomp.biproduct.summands[0].base.dim
-    return eval_map(decomp.theta_inv, list(first + second[m:] + third[m:]))
+    return eval_map(decomp.biproduct.from_canonical, list(first + second[m:] + third[m:]))
 
 
 def test_decompose_point_canonical():
@@ -475,6 +476,30 @@ def test_equivalence_suite_fails_coherently_on_mutations():
         legs = [r for r in report.records if "presentation" in r.name]
         assert len(legs) == 4
         assert all(r.status is Status.FAIL for r in legs)
+
+
+@pytest.mark.parametrize("budget, status", [(False, Status.FAIL), (True, Status.CANNOT_CERTIFY)])
+def test_equivalence_suite_legs_carry_the_pairing_inversion_record(monkeypatch, budget, status):
+    """When theta does not invert, each of the four legs is the effectiveness
+    report's "pairing inversion" record under the leg's name: a refutation
+    fails with its witness, an exhausted budget is cannot-certify.  No
+    connection in these tests passes the vertical gate with a theta that
+    does not invert, so the inverter is made to raise."""
+    import tangentcat.whitney as whitney
+
+    def no_inverse(f):
+        raise NotInvertible("no inverse: stated for the test", budget=budget)
+
+    monkeypatch.setattr(whitney, "invert_polymap", no_inverse)
+    c = canonical_connection(1)
+    report, decomp = check_effective(c)
+    assert decomp is None
+    assert [(r.name, r.status) for r in report.records] == [("gate", Status.PASS), ("pairing inversion", status)]
+    legs = [r for r in equivalence_suite(c).records if "presentation" in r.name]
+    assert [(r.name, r.status, r.witness) for r in legs] == [
+        (name, status, "no inverse: stated for the test")
+        for name in ("pair presentation", "effective presentation", "sum presentation", "product presentation")
+    ]
 
 
 def test_equivalence_suite_random_christoffel():

@@ -27,6 +27,7 @@ from tangentcat.cli import main
 from tangentcat.connection import (
     Connection,
     canonical_connection,
+    check_effective,
     check_horizontal,
     check_pair,
     christoffel_connection,
@@ -236,6 +237,80 @@ def test_the_perturbations_reach_every_premise():
     assert any(verdicts) and not all(verdicts)
 
 
+# ------------------------------------------------ the partial-bundle premise
+
+
+def christoffel_2():
+    """A Christoffel connection over R^2 with a fixed table."""
+    zero = Polynomial.zero(2)
+    table = (
+        ((zero, x(2, 1)), (zero, zero)),
+        ((x(2, 0).scale(2), zero), (zero, Polynomial.constant(2, Fraction(1, 2)))),
+    )
+    return christoffel_connection(Space.euclidean(2), table)
+
+
+PARTIAL_MODELS = {
+    "canonical n=1": lambda: canonical_connection(1),
+    "canonical n=2": lambda: canonical_connection(2),
+    "christoffel n=1": pinned._christoffel,
+    "christoffel n=2": christoffel_2,
+}
+
+
+def bundle_perturbations():
+    """Each model, with H supplied and with H absent, on a bundle whose sigma
+    or zeta moves the base point: sigma's base component plus each fibre
+    coordinate of the fibre square, and zeta's base component plus 1 and
+    minus 1/2.  Yields (field, connection)."""
+    for name in sorted(PARTIAL_MODELS):
+        c = PARTIAL_MODELS[name]()
+        for full in (c if c.H is not None else derive_horizontal(c), Connection(bundle=c.bundle, K=c.K)):
+            b = full.bundle
+            s, z = b.sigma, b.zeta
+            for k in range(b.base.dim, s.domain_dim):
+                sigma = PolyMap(s.domain_dim, (s.components[0] + x(s.domain_dim, k),) + s.components[1:])
+                yield "sigma", replace(full, bundle=replace(b, sigma=sigma))
+            for shift in (1, Fraction(-1, 2)):
+                zeta = PolyMap(z.domain_dim, (z.components[0] + Polynomial.constant(z.domain_dim, shift),) + z.components[1:])
+                yield "zeta", replace(full, bundle=replace(b, zeta=zeta))
+
+
+def test_bundles_off_their_base_give_the_bytes_of_the_computed_partial_bundles(monkeypatch):
+    """The premise "additivity of K" decides the two partial-bundle records
+    from K's additivity and the records written before them, with no
+    squares of the bundle's own structure; on bundles whose sigma or zeta
+    moves the base point, the reports are those of the computed records,
+    byte for byte.  The sigma perturbations pass the vertical gate, the sum
+    and the injections, so they reach both partial-bundle records on their
+    computed path; the zeta perturbations stop at the sum's annihilation
+    law.  Perturbations of lambda's w or u block are left out: they stop at
+    the vertical gate."""
+    cases = list(bundle_perturbations())
+    assert len(cases) == 40
+
+    def run():
+        return [
+            [report_bytes(r) for r in (verify_connection(c)[0], check_effective(c)[0], equivalence_suite(c))]
+            for _, c in cases
+        ]
+
+    by_premise, computed = both_ways(monkeypatch, run)
+    for i, (a, b) in enumerate(zip(by_premise, computed)):
+        assert a == b, cases[i]
+    for field, c in cases:
+        records = check_effective(c)[0].records
+        names = [r.name for r in records]
+        if field == "sigma":
+            assert names[-2:] == ["first partial bundle", "second partial bundle"], c
+            assert all(r.status is Status.PASS for r in records[:-2]), c
+            assert [r.premise for r in records[-2:]] == [None, None], c
+            assert records[-1].status is Status.FAIL, c
+        else:
+            assert "first partial bundle" not in names, c
+            assert next(r for r in records if r.name == "Whitney sum: annihilation 2,1").status is Status.FAIL, c
+
+
 # -------------------------------------------------------- the premise table
 
 
@@ -306,8 +381,7 @@ def test_no_output_names_a_premise(capsys):
 def test_a_passing_connection_lies_on_a_differential_bundle():
     """Whenever ``verify_connection`` passes, ``verify_bundle`` passes on its
     bundle: the evidence, not a proof, for the premise that
-    ``_partials_by_additivity`` and ``_horizontal_is_forced`` take from a
-    passing chain.  Each case adds one term to sigma, zeta, lambda or K of
+    ``_horizontal_is_forced`` takes from a passing chain.  Each case adds one term to sigma, zeta, lambda or K of
     canonical n = 1, 2, Christoffel n = 1 or the trivial bundle over R^1
     with the canonical K, with no H.  The search is not vacuous: some
     connections pass, and many bundles that are not differential bundles
