@@ -1,7 +1,10 @@
 """Batch front-end: verify documents, derive maps, and run built-in demos.
 
 Exit codes: 0 all checks pass, 1 parse/validation error, 2 at least one check
-refuted, 3 inconclusive (a certificate could not be produced).  Output is
+refuted, 3 inconclusive (a certificate could not be produced).  No input is
+rejected for its size: a product beyond ``polycore.TERM_BUDGET`` ends in
+cannot-certify, as a record when a check meets it, and otherwise as exit 3
+with ``cannot-certify:`` and the budget on stderr.  Output is
 deterministic; files are written atomically (temp file, then rename).
 """
 
@@ -16,8 +19,8 @@ from dataclasses import replace
 from functools import cache
 from typing import Optional
 
-from .polycore import Polynomial, ShapeError
-from .report import Report, Status
+from .polycore import BudgetExceeded, Polynomial, ShapeError
+from .report import CheckRecord, Report, Status
 from .tangent import Space
 from .dbundle import check_tangent_axioms, verify_bundle
 from .connection import (
@@ -28,7 +31,6 @@ from .connection import (
     check_pair,
     christoffel_connection,
     decompose_point,
-    effective_decomposition,
     verify_connection,
 )
 from .whitney import verify_sum
@@ -39,13 +41,6 @@ EXIT_PASS = 0
 EXIT_PARSE = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
-
-DEFAULT_MAX_DEGREE = 8
-
-
-class DegreeError(ValueError):
-    """An input exceeds the symbolic-expansion degree guard."""
-
 
 def _unique_keys(pairs: list) -> dict:
     """A JSON object whose keys are distinct; a repeated key is rejected, not overwritten."""
@@ -72,21 +67,9 @@ def _load_json(path: str):
 
 
 def _read(args, kind: str = "connection"):
-    """Read, parse and degree-guard the bundle or connection document at ``args.path``."""
+    """Read and parse the bundle or connection document at ``args.path``."""
     doc = _load_json(args.path)
-    if kind == "bundle":
-        parsed = serialize.bundle_from_json(doc)
-        maps = [parsed.sigma, parsed.zeta, parsed.lift]
-    else:
-        parsed = serialize.connection_from_json(doc)
-        b = parsed.bundle
-        maps = [b.sigma, b.zeta, b.lift, parsed.K] + ([] if parsed.H is None else [parsed.H])
-    worst = max(m.max_degree() for m in maps)
-    if worst > args.max_degree:
-        raise DegreeError(
-            f"input degree {worst} exceeds the guard ({args.max_degree}); raise --max-degree to proceed"
-        )
-    return parsed
+    return serialize.bundle_from_json(doc) if kind == "bundle" else serialize.connection_from_json(doc)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -144,13 +127,14 @@ def _sidecar(path: str, tag: str) -> str:
 
 def cmd_derive_h(args) -> int:
     c = _read(args)
-    try:
-        d = effective_decomposition(Connection(bundle=c.bundle, K=c.K))
-    except ShapeError as exc:
+    eff, d = check_effective(Connection(bundle=c.bundle, K=c.K))
+    if d is None:
+        # the effectiveness verdict: fail, or cannot-certify past the budget
+        why = "horizontal derivation needs an effective vertical map: " + "; ".join(r.name for r in eff.failing())
         report = Report(subject="horizontal derivation")
-        report.check("derivation", "an effective vertical map determines H", False, str(exc))
+        report.add(CheckRecord("derivation", "an effective vertical map determines H", eff.verdict, why))
         _emit(report, args.format)
-        return EXIT_FAIL
+        return _exit_code(report)
     full = replace(c, H=d.horizontal)
     out = _sidecar(args.path, "h")
     _atomic_write(out, serialize.dumps(serialize.map_to_json(full.H)))
@@ -230,12 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verifier for polynomial tangent-category structures.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--max-degree",
-        type=int,
-        default=DEFAULT_MAX_DEGREE,
-        help="reject inputs whose maps exceed this total degree (default %(default)s)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="verify a bundle or connection document")
@@ -266,9 +244,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SerializationError, DegreeError, ShapeError) as exc:
+    except (SerializationError, ShapeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
+    except BudgetExceeded as exc:
+        sys.stderr.write(f"cannot-certify: {exc.witness}\n")
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ K's additivity over both projections (``_partials_by_additivity``), and are
 transported along the inverse pairing to be compared only when that does
 not decide them.  All verdicts are exact: a pairing with no inverse fails
 with an exact refutation witness, and is cannot-certify only when the
-inverter's degree budget runs out.
+engine's budget runs out (``polycore.BudgetExceeded``).
 
 Coordinate conventions: the bundle must have its base coordinates leading, so
 E = (x, w), TE = (x, w, u, v) with u the tangent of x and v the tangent of w,

@@ -77,8 +77,32 @@ def _value(terms: Iterable[Term], point: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def _mul_terms(a: Iterable[Term], b: Sequence[Term]) -> dict[Exponent, int | Fraction]:
-    """Product of two term lists as an accumulator; zeros are not dropped."""
+# The term budget: the most term products one multiplication may form.  A
+# product beyond it raises ``BudgetExceeded``; the engine's checks record
+# that as cannot-certify.  The largest product any test or benchmark
+# document forms is below 10,000.
+TERM_BUDGET = 1 << 15
+
+
+class BudgetExceeded(Exception):
+    """Raised when a product or an inverse expansion exceeds the engine's budget.
+
+    ``witness`` names the budget.  It is not a ``ValueError``, which the CLI
+    turns into exit 1: that would hide a missed catch.
+    """
+
+    def __init__(self, witness: str) -> None:
+        super().__init__(witness)
+        self.witness = witness
+
+
+def _mul_terms(a: Sequence[Term], b: Sequence[Term]) -> dict[Exponent, int | Fraction]:
+    """Product of two term lists as an accumulator; zeros are not dropped.
+
+    Every product in the engine is made here, so ``TERM_BUDGET`` bounds each.
+    """
+    if len(a) * len(b) > TERM_BUDGET:
+        raise BudgetExceeded(f"a product of {len(a)} by {len(b)} terms exceeds the term budget ({TERM_BUDGET})")
     acc: dict[Exponent, int | Fraction] = {}
     get = acc.get
     for ea, ca in a:
@@ -439,7 +463,8 @@ def power_pair(total_dim: int, base_coords: Sequence[int], maps: Sequence[PolyMa
 
 # The inverter's degree budget.  Its expansion of the inverse stops at this
 # degree, so an inverse beyond it is never found, and a refutation by the
-# Bass-Connell-Wright bound needs that bound to lie within it.
+# Bass-Connell-Wright bound needs that bound to lie within it; running out
+# of it below that bound raises ``BudgetExceeded``.
 DEGREE_BUDGET = 64
 
 
@@ -512,18 +537,15 @@ def _det_witness(f: PolyMap) -> Optional[str]:
 
 
 class NotInvertible(Exception):
-    """Raised by ``invert_polymap`` for a map it returns no inverse of.
+    """Raised by ``invert_polymap`` for a map that has no inverse.
 
-    ``witness`` is an exact refutation, unless ``budget`` is set: then only
-    the degree budget ran out, and the witness names it.  It is not a
-    ``ValueError``, which the CLI turns into exit 1: that would hide a
-    missed catch.
+    ``witness`` is an exact refutation.  It is not a ``ValueError``, which
+    the CLI turns into exit 1: that would hide a missed catch.
     """
 
-    def __init__(self, witness: str, budget: bool = False) -> None:
+    def __init__(self, witness: str) -> None:
         super().__init__(witness)
         self.witness = witness
-        self.budget = budget
 
 
 def _triangular_inverse(f: PolyMap) -> Optional[PolyMap]:
@@ -618,8 +640,9 @@ def invert_polymap(f: PolyMap) -> PolyMap:
     Raises ``NotInvertible`` with an exact witness when f has no inverse:
     f is not square, J_f(0) is singular, det J_f vanishes or differs at
     sampled rational points, or no inverse exists within the
-    Bass-Connell-Wright bound.  When the budget is below that bound and
-    runs out, the witness names the budget and ``budget`` is set.
+    Bass-Connell-Wright bound.  Raises ``BudgetExceeded`` when
+    ``DEGREE_BUDGET`` is below that bound and runs out, or when a product
+    exceeds ``TERM_BUDGET``.
     """
     n = f.domain_dim
     if f.codomain_dim != n:
@@ -690,10 +713,9 @@ def _expand_inverse(f: PolyMap) -> PolyMap:
         if k == min(deg, cap) and (witness := _det_witness(f)):
             raise NotInvertible(witness)
     if cap < bound:
-        raise NotInvertible(
+        raise BudgetExceeded(
             f"no inverse of degree at most {DEGREE_BUDGET}, the inverter's degree budget, "
-            "which is below the Bass-Connell-Wright bound (deg f)^(n-1)",
-            budget=True,
+            "which is below the Bass-Connell-Wright bound (deg f)^(n-1)"
         )
     raise NotInvertible(
         f"it has no inverse of degree at most {bound} = (deg f)^(n-1), "

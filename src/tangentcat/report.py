@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
 
-from .polycore import NotInvertible, PolyMap, ShapeError, first_difference, map_equal
+from .polycore import BudgetExceeded, NotInvertible, PolyMap, ShapeError, first_difference, map_equal
 
 
 class Status(str, Enum):
@@ -59,6 +59,7 @@ class Report:
         compared exactly, or the comparison's witness (None when it holds).
         A pairing that cannot be formed, because its parts lie over
         different base points, refutes the law; its message is the witness.
+        A build that exceeds the budget leaves the law cannot-certify.
         """
         if premise is not None:
             self.add(CheckRecord(name, law, Status.PASS, premise=premise))
@@ -67,6 +68,9 @@ class Report:
             built = build()
         except ShapeError as exc:
             return self.check(name, law, False, str(exc))
+        except BudgetExceeded as exc:
+            self.cannot_certify(name, law, exc.witness)
+            return False
         if isinstance(built, tuple):
             return self.check_equal(name, law, *built)
         return self.check(name, law, built is None, built)
@@ -76,13 +80,16 @@ class Report:
         return ok
 
     def summary(self, name: str, law: str, sub: "Report") -> bool:
-        """Record a sub-report as one check, witnessed by its failing names."""
-        return self.check(name, law, sub.passed, "; ".join(r.name for r in sub.failing()) or None)
+        """Record a sub-report as one check with its verdict, witnessed by
+        the names of its records that did not pass."""
+        self.add(CheckRecord(name, law, sub.verdict, "; ".join(r.name for r in sub.failing()) or None))
+        return sub.passed
 
-    def no_inverse(self, name: str, law: str, exc: NotInvertible) -> None:
+    def no_inverse(self, name: str, law: str, exc: NotInvertible | BudgetExceeded) -> None:
         """Record an inversion that raised ``exc``: a failure with its
-        refutation, or cannot-certify when only the degree budget ran out."""
-        self.add(CheckRecord(name, law, Status.CANNOT_CERTIFY if exc.budget else Status.FAIL, exc.witness))
+        refutation, or cannot-certify when the budget ran out."""
+        status = Status.FAIL if isinstance(exc, NotInvertible) else Status.CANNOT_CERTIFY
+        self.add(CheckRecord(name, law, status, exc.witness))
 
     def cannot_certify(self, name: str, law: str, witness: Optional[str] = None) -> None:
         self.add(CheckRecord(name, law, Status.CANNOT_CERTIFY, witness))

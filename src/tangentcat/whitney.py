@@ -28,6 +28,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .polycore import (
+    BudgetExceeded,
     NotInvertible,
     PolyMap,
     Polynomial,
@@ -225,7 +226,7 @@ class Recognition:
 
     report: Report
     biproduct: Optional[BiproductBundle]
-    refutation: Optional[NotInvertible] = None
+    refutation: Optional[NotInvertible | BudgetExceeded] = None
 
 
 def recognize_biproduct(
@@ -238,7 +239,7 @@ def recognize_biproduct(
     Assembles the comparison map psi onto the canonical concatenated model C
     and inverts it with ``invert_polymap``.  When the inverter raises
     ``NotInvertible``, the "comparison inversion" record fails with its
-    witness, or is cannot-certify when only the degree budget ran out, and
+    witness, or is cannot-certify when it raises ``BudgetExceeded``, and
     the recognition carries the exception as its ``refutation``.
 
     The "tangential" record is decided by the premise "T is a functor": T
@@ -293,7 +294,7 @@ def recognize_biproduct(
     psi = PolyMap(total.dim, tuple(comps))
     try:
         psi_inv = invert_polymap(psi)
-    except NotInvertible as exc:
+    except (NotInvertible, BudgetExceeded) as exc:
         rep.no_inverse("comparison inversion", "comparison map onto the concatenated model is invertible", exc)
         return Recognition(rep, None, exc)
     rep.check("comparison isomorphism", "two-sided polynomial inverse found", True, None)
@@ -349,11 +350,11 @@ def verify_sum(bp: BiproductBundle) -> Report:
 
     A passing report has no witnesses, so C's is the sum's, byte for byte.
     Any other report is recomputed on the sum itself, so that its
-    witnesses name the sum's coordinates.  The one verdict that can
-    differ is axiom 4's: an inverse's degree is not invariant under
-    conjugation, so the inverter's budget can run out on mu' where it
-    does not on mu.  A sum built by ``biproduct`` is C itself, decided
-    once when it passes.
+    witnesses name the sum's coordinates.  Only a record the budget
+    decides can differ: the size of a composite, and the degree of an
+    inverse, are not invariant under conjugation, so the budget can run
+    out on the sum where it does not on C.  A sum built by ``biproduct``
+    is C itself, decided once when it passes.
     """
     report = verify_bundle(bp.model)
     return report if report.passed else verify_bundle(bp.sum)

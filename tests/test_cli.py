@@ -9,7 +9,7 @@ import pytest
 
 from tangentcat import serialize
 from tangentcat.cli import build_parser, main
-from tangentcat.polycore import Polynomial, PolyMap
+from tangentcat.polycore import BudgetExceeded, Polynomial, PolyMap
 from tangentcat.tangent import Space
 from tangentcat.connection import Connection, canonical_connection, christoffel_connection, derive_horizontal
 
@@ -206,32 +206,23 @@ def test_malformed_fields_exit_1_with_location(tmp_path, capsys, kind, field, va
     assert capsys.readouterr().err.startswith(f"error: {where}:")
 
 
-# --------------------------------------------------------------- degree guard
+# ------------------------------------------------------------ high degree
 
 
-def test_degree_guard_rejects_high_degree(tmp_path, capsys):
+@pytest.mark.parametrize("degree", [9, 10])
+def test_high_degree_connections_verify(tmp_path, capsys, degree):
+    """No input is rejected for its degree: the Christoffel connection with
+    Gamma = x^degree, whose K = (x, v + x^degree t u) has degree
+    degree + 2, verifies with no flag."""
     x = Polynomial.variable(1, 0)
     steep = x
-    for _ in range(9):
-        steep = steep * x  # degree 10
+    for _ in range(degree - 1):
+        steep = steep * x
     c = christoffel_connection(Space.euclidean(1), (((steep,),),))
+    assert c.K.max_degree() == degree + 2
     path = write_connection(tmp_path, c)
-    assert main(["verify", path]) == 1
-    assert "degree" in capsys.readouterr().err
-    assert main(["--max-degree", "20", "verify", path]) == 0
-    capsys.readouterr()
-
-
-def test_the_default_guard_returns_after_a_raised_one(tmp_path, capsys):
-    """The parser is shared between calls; a flag given once does not stay set."""
-    x = Polynomial.variable(1, 0)
-    steep = x
-    for _ in range(9):
-        steep = steep * x  # degree 10
-    path = write_connection(tmp_path, christoffel_connection(Space.euclidean(1), (((steep,),),)))
-    assert main(["--max-degree", "20", "verify", path]) == 0
-    assert main(["verify", path]) == 1
-    assert "degree" in capsys.readouterr().err
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ----------------------------------------------------------------- derive-h
@@ -270,6 +261,20 @@ def test_derive_h_fails_for_defective_K(tmp_path, capsys):
     assert main(["derive-h", str(path)]) == 2
     assert "verdict: fail" in capsys.readouterr().out
     assert not os.path.exists(tmp_path / "bad.h.json")
+
+
+def test_derive_h_is_inconclusive_when_the_pairing_inversion_exceeds_the_budget(tmp_path, capsys, monkeypatch):
+    import tangentcat.whitney as whitney
+
+    def over_budget(f):
+        raise BudgetExceeded("stated for the test: over the term budget")
+
+    monkeypatch.setattr(whitney, "invert_polymap", over_budget)
+    path = write_connection(tmp_path, christoffel_linear())
+    assert main(["--format", "json", "derive-h", path]) == 3
+    (record,) = json.loads(capsys.readouterr().out)["checks"]
+    assert (record["name"], record["status"]) == ("derivation", "cannot-certify")
+    assert not os.path.exists(tmp_path / "conn.h.json")
 
 
 # -------------------------------------------------------------- total-bundle

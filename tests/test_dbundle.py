@@ -1,6 +1,7 @@
 """Differential-bundle axioms, constructions, and morphism checks."""
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from tangentcat.polycore import (
     ShapeError,
     compose,
     eval_map,
+    invert_polymap,
     map_equal,
 )
 from tangentcat.tangent import Space, T_map, T_obj, add_plus, lift_l, proj_p, zero_0
@@ -195,9 +197,11 @@ def _fibre_shear(b, rng):
     A is a constant invertible lower-triangular rational matrix and each
     component of p is one monomial of degree 1 or 2 in the base coordinates.
     No fibre coordinate is multiplied by a base coordinate, and p has one
-    term, because verify_bundle puts no budget on the size of the composites
-    it builds: with two terms in p, a sigma that moves the base point
-    transports to degree 8 and one verify_bundle took 17 s.
+    term, so that every transported composite stays within the term budget:
+    with two terms in p, a sigma that moves the base point transports to
+    degree 8, and its shear inversion exceeds the budget (cannot-certify)
+    where the model's is decided, so the two reports would not agree
+    record by record (``test_budget_ends_a_transported_blow_up``).
     """
     e, bc, fc = b.total.dim, b.base_coords, b.fibre_coords
     f = len(fc)
@@ -260,6 +264,75 @@ def test_transport_preserves_and_reflects_every_axiom(name):
             assert here.to_dict() == there.to_dict()
         verdicts.append(here.verdict)
     assert Status.PASS in verdicts and Status.FAIL in verdicts
+
+
+def _sigma_moving_the_base_point():
+    """sigma's base component plus 3 w2'^2, transported along
+    psi = (x0, 3x1 + 3x0 + 3x0^2, 2x2 - x1 - 2x0 - 2x0^2); sigma has degree 8."""
+    b = biproduct([tangent_bundle(Space.euclidean(1)), trivial_bundle(Space.euclidean(1), 1)]).sum
+    s, w = b.sigma, x(5, 4)
+    sigma = PolyMap(5, (s.components[0] + (w * w).scale(3),) + s.components[1:])
+    x0, x1, x2 = (x(3, i) for i in range(3))
+    psi = PolyMap(3, (x0, (x1 + x0 + x0 * x0).scale(3), x2.scale(2) - x1 - x0.scale(2) - (x0 * x0).scale(2)))
+    return transport_bundle(replace(b, sigma=sigma), psi, invert_polymap(psi), b.total)
+
+
+def _lift_off_the_base_point():
+    """lambda's first component x0 - x2^2, transported along
+    psi = (x0, -x1 - x0^2, x2/2 - 2 x0 x1 + x0^2); lambda has degree 12."""
+    b = biproduct([tangent_bundle(Space.euclidean(1)), trivial_bundle(Space.euclidean(1), 1)]).sum
+    lift = PolyMap(3, (x(3, 0) - x(3, 2) * x(3, 2),) + b.lift.components[1:])
+    x0, x1, x2 = (x(3, i) for i in range(3))
+    psi = PolyMap(3, (x0, -x1 - x0 * x0, x2.scale(Fraction(1, 2)) - (x0 * x1).scale(2) + x0 * x0))
+    return transport_bundle(replace(b, lift=lift), psi, invert_polymap(psi), b.total)
+
+
+BLOW_UPS = {
+    # the records before the budgeted one, as they were before the term budget
+    "sigma": (_sigma_moving_the_base_point, 8, "axiom 4: shear inversion", [
+        ("projection compatibility", Status.FAIL),
+        ("section", Status.PASS),
+        ("commutativity", Status.FAIL),
+        ("unit", Status.FAIL),
+        ("associativity", Status.FAIL),
+        ("tangential fibre power", Status.PASS),
+        ("axiom 2: (lift, 0) additive", Status.FAIL),
+        ("axiom 3: (lift, zeta) additive", Status.FAIL),
+        ("axiom 4: square commutes", Status.FAIL),
+    ]),
+    "lambda": (_lift_off_the_base_point, 12, "axiom 5", [
+        ("projection compatibility", Status.PASS),
+        ("section", Status.PASS),
+        ("commutativity", Status.PASS),
+        ("unit", Status.PASS),
+        ("associativity", Status.PASS),
+        ("tangential fibre power", Status.PASS),
+        ("axiom 2: (lift, 0) additive", Status.FAIL),
+        ("axiom 3: (lift, zeta) additive", Status.FAIL),
+        ("axiom 4: comparison map", Status.FAIL),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOW_UPS))
+def test_budget_ends_a_transported_blow_up(case):
+    """Two transported bundles whose composites blow up: without the term
+    budget verify_bundle took 12 s on the first and 195 s on the second
+    (Python 3.11, one process on a shared 2-CPU machine).  Within the
+    budget the earlier records keep their verdicts, the record whose
+    composites exceed it is cannot-certify and names the budget, and the
+    earlier failures make the verdict fail."""
+    build, degree, budgeted, before = BLOW_UPS[case]
+    b = build()
+    assert max(m.max_degree() for m in (b.sigma, b.zeta, b.lift)) == degree
+    start = time.perf_counter()
+    report = verify_bundle(b)
+    assert time.perf_counter() - start < 5
+    assert report.verdict is Status.FAIL
+    at = [r.name for r in report.records].index(budgeted)
+    assert [(r.name, r.status) for r in report.records[:at]] == before
+    record = report.records[at]
+    assert record.status is Status.CANNOT_CERTIFY and "term budget" in record.witness
 
 
 def test_adds_fibrewise_reads_sigma_and_zeta():

@@ -1,7 +1,8 @@
 """The verdict contract over mutated and malformed documents.
 
 A wrong structure is refuted (exit 2) with a witness, a malformed document
-is rejected (exit 1) with a message, and no document makes a command raise.
+is rejected (exit 1) with a message, a document beyond the term budget is
+cannot-certify (exit 3), and no document makes a command raise.
 """
 
 import contextlib
@@ -17,11 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tangentcat import serialize
+from tangentcat import polycore, serialize
 from tangentcat.cli import main
 from tangentcat.connection import canonical_connection, christoffel_connection, derive_horizontal
 from tangentcat.dbundle import tangent_bundle, trivial_bundle
-from tangentcat.polycore import Polynomial
+from tangentcat.polycore import BudgetExceeded, Polynomial
+from tangentcat.report import Report, Status
 from tangentcat.tangent import Space
 
 
@@ -216,3 +218,47 @@ def test_broken_documents_keep_the_exit_contract(command, data):
         assert code == 1 and f"duplicated key {json.dumps(repeated)}" in err
     if any(isinstance(p[-1], str) and p[-1].endswith(RENAMED) for p in _paths(json.loads(text))):
         assert code == 1 and err.startswith("error: ")
+
+
+# ------------------------------------------------------------- term budget
+
+
+def test_an_exhausted_term_budget_is_cannot_certify(monkeypatch):
+    """With no term product allowed, every command that computes ends in
+    cannot-certify (exit 3) and names the budget, on stderr or in a
+    cannot-certify record; none raises."""
+    demo = christoffel_connection(Space.euclidean(1), (((Polynomial.variable(1, 0),),),))
+    doc = serialize.dumps(serialize.connection_to_json(demo))
+    monkeypatch.setattr(polycore, "TERM_BUDGET", 0)
+    runs = {command: _run(doc, command) for command in ("verify", "derive-h", "total-bundle", "decompose")}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs["demo christoffel"] = main(["--format", "json", "demo", "christoffel"]), out.getvalue(), err.getvalue()
+    for command, (code, out, err) in runs.items():
+        assert code == 3, (command, code, err)
+        records = json.loads(out).get("checks", []) if out else []
+        named = [r for r in records if r["status"] == "cannot-certify" and "term budget" in r.get("witness", "")]
+        assert "term budget" in err or named, command
+
+
+def test_decide_records_an_exhausted_budget_as_cannot_certify():
+    def build():
+        raise BudgetExceeded("over the term budget")
+
+    rep = Report(subject="budget")
+    assert rep.decide("law", "lhs = rhs", None, build) is False
+    assert [(r.name, r.status, r.witness) for r in rep.records] == [
+        ("law", Status.CANNOT_CERTIFY, "over the term budget")
+    ]
+
+
+def test_a_summary_keeps_a_cannot_certify_sub_report():
+    sub = Report(subject="axiom")
+    sub.check("square", "f = g", True)
+    sub.cannot_certify("addition", "h = k", "over the term budget")
+    rep = Report(subject="bundle")
+    assert rep.summary("axiom", "both squares", sub) is False
+    assert [(r.status, r.witness) for r in rep.records] == [(Status.CANNOT_CERTIFY, "addition")]
+    sub.check("zero", "z = 0", False, "component 0")
+    rep.summary("axiom", "both squares", sub)
+    assert (rep.records[-1].status, rep.records[-1].witness) == (Status.FAIL, "addition; zero")
