@@ -25,7 +25,6 @@ from .dbundle import (
 )
 from .whitney import (
     BiproductBundle,
-    Recognition,
     biproduct,
     biproduct_laws,
     partial_bundle,

@@ -44,13 +44,11 @@ EXIT_INCONCLUSIVE = 3
 
 def _unique_keys(pairs: list) -> dict:
     """A JSON object whose keys are distinct; a repeated key is rejected, not overwritten."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise SerializationError(f"duplicated key {json.dumps(key)}")
-            seen.add(key)
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SerializationError(f"duplicated key {json.dumps(key)}")
+        obj[key] = value
     return obj
 
 

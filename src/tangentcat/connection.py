@@ -27,7 +27,10 @@ K's additivity over both projections (``_partials_by_additivity``), and are
 transported along the inverse pairing to be compared only when that does
 not decide them.  All verdicts are exact: a pairing with no inverse fails
 with an exact refutation witness, and is cannot-certify only when the
-engine's budget runs out (``polycore.BudgetExceeded``).
+engine's budget runs out.  That record is the recognition's "comparison
+inversion", which ``Report.attempt`` wrote, copied under the name "pairing
+inversion"; ``equivalence_suite`` copies it in turn onto its four legs.
+This module catches no exception.
 
 Coordinate conventions: the bundle must have its base coordinates leading, so
 E = (x, w), TE = (x, w, u, v) with u the tangent of x and v the tangent of w,
@@ -314,16 +317,17 @@ def _effectiveness(c: Connection, vert: Report) -> tuple[Report, Optional[Decomp
     # The comparison map of this sum is the pairing theta.  The vertical gate
     # makes the three projections agree on the base, so the recognition
     # reaches the inversion of theta.
-    recog = recognize_biproduct(T_obj(b.total), projections, summands)
-    if recog.refutation is not None:
-        rep.no_inverse("pairing inversion", "the three-way pairing has a two-sided polynomial inverse", recog.refutation)
+    recog, bp = recognize_biproduct(T_obj(b.total), projections, summands)
+    refuted = next((r for r in recog.records if r.name == "comparison inversion"), None)
+    if refuted is not None:
+        rep.add(replace(refuted, name="pairing inversion", law="the three-way pairing has a two-sided polynomial inverse"))
         return rep, None
     rep.check("pairing inversion", "two-sided polynomial inverse found", True, None)
-    rep.extend(recog.report, prefix="Whitney sum: ")
-    if recog.biproduct is None:
+    rep.extend(recog, prefix="Whitney sum: ")
+    if bp is None:
         return rep, None
     expected = (zero_0(b.total), T_map(b.zeta), b.lift)
-    for name, got, want in zip(("first", "second", "third"), recog.biproduct.injections, expected):
+    for name, got, want in zip(("first", "second", "third"), bp.injections, expected):
         rep.check_equal(f"{name} injection", _INJECTION_LAW, got, want)
     premise = "additivity of K" if rep.passed and _partials_by_additivity(c) else None
     partials = (
@@ -332,9 +336,9 @@ def _effectiveness(c: Connection, vert: Report) -> tuple[Report, Optional[Decomp
     )
     for j, (name, law, want) in enumerate(partials):
         rep.decide(
-            name, law, premise, lambda j=j, want=want: bundle_difference(partial_bundle(recog.biproduct, j), want)
+            name, law, premise, lambda j=j, want=want: bundle_difference(partial_bundle(bp, j), want)
         )
-    return rep, Decomposition(recog.biproduct) if rep.passed else None
+    return rep, Decomposition(bp) if rep.passed else None
 
 
 def check_effective(c: Connection) -> tuple[Report, Optional[Decomposition]]:

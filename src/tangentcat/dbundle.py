@@ -26,6 +26,11 @@ Four premises decide records here without their composites, each through
 position" axiom 1, "two-sided inverse" the "left inverse" of axiom 4 and
 "T is a functor" its "preserved by T".  Each proof is in the docstring or
 comment beside its record.
+
+mu, its inverse, and the composites of the unit, associativity, axiom 4
+and axiom 5 records are built inside ``Report.attempt`` or
+``Report.decide``, which record a refutation or an exhausted budget; this
+module catches nothing.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ from functools import cache, cached_property
 from typing import Optional
 
 from .polycore import (
-    BudgetExceeded,
-    NotInvertible,
     PolyMap,
     Polynomial,
     ShapeError,
@@ -276,9 +279,12 @@ def check_universality(b: DiffBundle) -> Report:
     tangents) gives an endomorphism of the fibre square; ``invert_polymap``
     solves it, and reading its inputs off those coordinates of TE gives the
     inverse nu.  mu need not be affine in the fibre variables: on the
-    tangent space of a total space it never is.  When ``invert_polymap``
-    raises ``NotInvertible``, the record fails with its witness; when it
-    raises ``BudgetExceeded``, the record is cannot-certify.
+    tangent space of a total space it never is.  mu and its inverse are
+    built through ``Report.attempt``, and the two computed identities
+    inside ``Report.decide``: a mu whose pairing cannot be formed, or that
+    has no inverse, fails its record with the refutation, and one that
+    meets the budget leaves it cannot-certify; the records after a mu or an
+    inverse that was not built are not written.
 
     Two records are decided by their premises, so no composite is built
     for them.  "left inverse", by "two-sided inverse": mu nu is the
@@ -290,35 +296,30 @@ def check_universality(b: DiffBundle) -> Report:
     """
     rep = Report(subject="lift universality (axiom 4)")
     e = b.total.dim
-    try:
-        mu = mu_map(b)
-    except ShapeError as exc:
-        rep.check("comparison map", "<pi1 lift, pi2 0> lies over one tangent of the base", False, str(exc))
+    mu = rep.attempt("comparison map", "<pi1 lift, pi2 0> lies over one tangent of the base", lambda: mu_map(b))
+    if mu is None:
         return rep
-    sq_dim = power_dim(e, b.base_coords, 2)
     proj_to_m = compose(power_proj(e, b.base_coords, 2, 1), b.q)
-    rep.check_equal(
+    rep.decide(
         "square commutes",
         "mu T(q) = proj 0",
-        compose(mu, T_map(b.q)),
-        compose(proj_to_m, zero_0(b.base)),
+        None,
+        lambda: (compose(mu, T_map(b.q)), compose(proj_to_m, zero_0(b.base))),
     )
     out_positions = list(range(e)) + [e + i for i in b.fibre_coords]
-    restricted = PolyMap(sq_dim, tuple(mu.components[pos] for pos in out_positions))
-    try:
-        solved = invert_polymap(restricted)
-    except (NotInvertible, BudgetExceeded) as exc:
-        rep.no_inverse("shear inversion", "mu is solvable for the summands", exc)
+    restricted = PolyMap(power_dim(e, b.base_coords, 2), tuple(mu.components[pos] for pos in out_positions))
+    solved = rep.attempt("shear inversion", "mu is solvable for the summands", lambda: invert_polymap(restricted))
+    if solved is None:
         return rep
     nu = compose(PolyMap.selection(2 * e, out_positions), solved)
 
     zero_sub = _zero_tangent_base(b)
     rep.decide("left inverse", "nu mu = 1", "two-sided inverse")
-    if rep.check_equal(
+    if rep.decide(
         "right inverse on subvariety",
         "mu nu = 1 where T(q) vanishes",
-        compose_all(zero_sub, nu, mu),
-        zero_sub,
+        None,
+        lambda: (compose_all(zero_sub, nu, mu), zero_sub),
     ):
         rep.decide("preserved by T", "T(nu) inverts T(mu) on the T-level subvariety", "T is a functor")
     return rep

@@ -1,12 +1,26 @@
-"""Check reports: per-identity pass/fail records with an overall verdict."""
+"""Check reports: per-identity pass/fail records with an overall verdict.
+
+This module is the one place where a raised refutation or budget becomes a
+record, through ``Report.attempt`` and ``Report.decide``.  ``ShapeError``
+(parts over different base points cannot be paired) and ``NotInvertible``
+(an exact refutation of an inverse) fail the law with their message as the
+witness; ``BudgetExceeded`` leaves it cannot-certify.  The checking modules
+build what may raise inside one of the two and catch nothing; the CLI ends
+a command when one of these escapes a construction.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from .polycore import BudgetExceeded, NotInvertible, PolyMap, ShapeError, first_difference, map_equal
+
+T = TypeVar("T")
+
+# What a construction raises when it refutes a law or exceeds the budget.
+_RAISED = (ShapeError, NotInvertible, BudgetExceeded)
 
 
 class Status(str, Enum):
@@ -57,20 +71,15 @@ class Report:
         no output writes, so its bytes are those of a computed pass.  With
         no premise, ``build()`` returns either the two maps the law equates,
         compared exactly, or the comparison's witness (None when it holds).
-        A pairing that cannot be formed, because its parts lie over
-        different base points, refutes the law; its message is the witness.
-        A build that exceeds the budget leaves the law cannot-certify.
+        A build that raises is recorded as ``attempt`` records it.
         """
         if premise is not None:
             self.add(CheckRecord(name, law, Status.PASS, premise=premise))
             return True
         try:
             built = build()
-        except ShapeError as exc:
-            return self.check(name, law, False, str(exc))
-        except BudgetExceeded as exc:
-            self.cannot_certify(name, law, exc.witness)
-            return False
+        except _RAISED as exc:
+            return self._raised(name, law, exc)
         if isinstance(built, tuple):
             return self.check_equal(name, law, *built)
         return self.check(name, law, built is None, built)
@@ -85,14 +94,24 @@ class Report:
         self.add(CheckRecord(name, law, sub.verdict, "; ".join(r.name for r in sub.failing()) or None))
         return sub.passed
 
-    def no_inverse(self, name: str, law: str, exc: NotInvertible | BudgetExceeded) -> None:
-        """Record an inversion that raised ``exc``: a failure with its
-        refutation, or cannot-certify when the budget ran out."""
-        status = Status.FAIL if isinstance(exc, NotInvertible) else Status.CANNOT_CERTIFY
-        self.add(CheckRecord(name, law, status, exc.witness))
+    def attempt(self, name: str, law: str, make: Callable[[], T]) -> Optional[T]:
+        """Return ``make()``; if it raises, record the law and return None.
 
-    def cannot_certify(self, name: str, law: str, witness: Optional[str] = None) -> None:
-        self.add(CheckRecord(name, law, Status.CANNOT_CERTIFY, witness))
+        Nothing is recorded when ``make`` returns: the caller records what
+        it builds.  A ``ShapeError`` or ``NotInvertible`` fails the law with
+        its message as the witness; a ``BudgetExceeded`` leaves it
+        cannot-certify, naming the budget.
+        """
+        try:
+            return make()
+        except _RAISED as exc:
+            self._raised(name, law, exc)
+            return None
+
+    def _raised(self, name: str, law: str, exc: Exception) -> bool:
+        status = Status.CANNOT_CERTIFY if isinstance(exc, BudgetExceeded) else Status.FAIL
+        self.add(CheckRecord(name, law, status, str(exc)))
+        return False
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         if not prefix:

@@ -19,6 +19,9 @@ sum itself is transported only when it is read.  For a sum built by
 Deciding a law on the model is a choice of where to compute it: every such
 record is computed.  The one record passed by a premise is a recognition's
 "tangential", by "T is a functor" through ``Report.decide``.
+``recognize_biproduct`` returns its report with the sum, or None, as
+``check_effective`` does; it inverts the comparison map through
+``Report.attempt``, which records a refutation or an exhausted budget.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .polycore import (
-    BudgetExceeded,
-    NotInvertible,
     PolyMap,
     Polynomial,
     ShapeError,
@@ -38,7 +39,7 @@ from .polycore import (
     invert_polymap,
     map_equal,
 )
-from .report import Report
+from .report import CheckRecord, Report, Status
 from .tangent import Space
 from .dbundle import DiffBundle, transport_bundle, verify_bundle
 
@@ -216,31 +217,19 @@ def biproduct_laws(bp: BiproductBundle) -> Report:
     return rep
 
 
-@dataclass(frozen=True)
-class Recognition:
-    """Outcome of presenting a space as a Whitney sum via given projections.
-
-    ``refutation`` is what the inversion of the comparison map raised, when
-    the recognition stopped there.
-    """
-
-    report: Report
-    biproduct: Optional[BiproductBundle]
-    refutation: Optional[NotInvertible | BudgetExceeded] = None
-
-
 def recognize_biproduct(
     total: Space,
     projections: Sequence[PolyMap],
     summands: Sequence[DiffBundle],
-) -> Recognition:
+) -> tuple[Report, Optional[BiproductBundle]]:
     """Decide whether the projections present ``total`` as a Whitney sum.
 
-    Assembles the comparison map psi onto the canonical concatenated model C
-    and inverts it with ``invert_polymap``.  When the inverter raises
-    ``NotInvertible``, the "comparison inversion" record fails with its
-    witness, or is cannot-certify when it raises ``BudgetExceeded``, and
-    the recognition carries the exception as its ``refutation``.
+    Returns the report and, when every record passes, the sum.  Assembles
+    the comparison map psi onto the canonical concatenated model C and
+    inverts it through ``Report.attempt``: when ``invert_polymap`` finds no
+    inverse, the "comparison inversion" record fails with its refutation,
+    or is cannot-certify when the budget runs out, and the recognition
+    stops there.
 
     The "tangential" record is decided by the premise "T is a functor": T
     is a functor on polynomial maps, so T(psi) T(psi^-1) = T(psi psi^-1) =
@@ -267,18 +256,18 @@ def recognize_biproduct(
     projections = tuple(projections)
     if len(projections) != len(summands):
         rep.check("arity", "one projection per summand", False, f"{len(projections)} projections for {len(summands)} summands")
-        return Recognition(rep, None)
+        return rep, None
     canon = biproduct(summands) if summands else None
     if canon is None:
         rep.check("arity", "nonempty summand list", False, "no summands given")
-        return Recognition(rep, None)
+        return rep, None
     if not rep.check(
         "dimension count",
         "total dimension equals base plus fibre blocks",
         total.dim == canon.total.dim,
         f"{total.dim} != {canon.total.dim}",
     ):
-        return Recognition(rep, None)
+        return rep, None
     base_maps = [compose(p, s.q) for p, s in zip(projections, summands)]
     for i in range(1, len(base_maps)):
         if not rep.check(
@@ -287,26 +276,23 @@ def recognize_biproduct(
             map_equal(base_maps[0], base_maps[i]),
             first_difference(base_maps[0], base_maps[i]),
         ):
-            return Recognition(rep, None)
+            return rep, None
     comps: list[Polynomial] = list(base_maps[0].components)
     for p, s in zip(projections, summands):
         comps.extend(p.components[k] for k in s.fibre_coords)
     psi = PolyMap(total.dim, tuple(comps))
-    try:
-        psi_inv = invert_polymap(psi)
-    except (NotInvertible, BudgetExceeded) as exc:
-        rep.no_inverse("comparison inversion", "comparison map onto the concatenated model is invertible", exc)
-        return Recognition(rep, None, exc)
+    psi_inv = rep.attempt(
+        "comparison inversion", "comparison map onto the concatenated model is invertible", lambda: invert_polymap(psi)
+    )
+    if psi_inv is None:
+        return rep, None
     rep.check("comparison isomorphism", "two-sided polynomial inverse found", True, None)
     rep.decide("tangential", "the comparison map stays invertible under T", "T is a functor")
     # psi q_C, the sum's projection, is the common base map
     if base_maps[0].selected is None:
-        rep.cannot_certify(
-            "standard position",
-            "transported projection is a coordinate selection",
-            "transported projection is not a coordinate selection",
-        )
-        return Recognition(rep, None)
+        rep.add(CheckRecord("standard position", "transported projection is a coordinate selection",
+                            Status.CANNOT_CERTIFY, "transported projection is not a coordinate selection"))
+        return rep, None
     bp = BiproductBundle(
         model=canon.model,
         total=total,
@@ -318,7 +304,7 @@ def recognize_biproduct(
     )
     laws = biproduct_laws(canon)
     rep.extend(laws if laws.passed else biproduct_laws(bp))
-    return Recognition(rep, bp if rep.passed else None)
+    return rep, bp if rep.passed else None
 
 
 def verify_sum(bp: BiproductBundle) -> Report:

@@ -138,6 +138,12 @@ def test_canonical_pair_passes():
         assert check_pair(canonical_connection(n)).verdict is Status.PASS
 
 
+def test_pair_without_H_fails_its_presence_record():
+    c = canonical_connection(1)
+    report = check_pair(replace(c, H=None))
+    assert [(r.name, r.status, r.witness) for r in report.records] == [("presence", Status.FAIL, "no H given")]
+
+
 def test_pair_compatibility_fails_with_wrong_H():
     c = canonical_connection(1)
     bad_h = PolyMap.from_components(3, [x(3, 0), x(3, 1), x(3, 2), x(3, 2)])
@@ -254,14 +260,14 @@ def test_partials_decided_by_additivity_agree_with_transport(name, shortcut, mon
         if not vert.passed:
             continue
         b = c.bundle
-        recog = recognize_biproduct(
+        _, recognized = recognize_biproduct(
             T_obj(b.total), (proj_p(b.total), T_map(b.q), c.K), (b, tangent_bundle(b.base), b)
         )
-        if recog.biproduct is None:
+        if recognized is None:
             continue
         moved = [
-            bundle_difference(partial_bundle(recog.biproduct, 0), tangent_bundle(b.total)),
-            bundle_difference(partial_bundle(recog.biproduct, 1), b.tangent),
+            bundle_difference(partial_bundle(recognized, 0), tangent_bundle(b.total)),
+            bundle_difference(partial_bundle(recognized, 1), b.tangent),
         ]
         if _partials_by_additivity(c):
             decided += 1

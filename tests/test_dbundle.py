@@ -1,5 +1,8 @@
 """Differential-bundle axioms, constructions, and morphism checks."""
 
+import contextlib
+import io
+import json
 import random
 import time
 from dataclasses import replace
@@ -7,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from tangentcat import polycore, serialize
+from tangentcat.cli import main
 from tangentcat.polycore import (
     Polynomial,
     PolyMap,
@@ -333,6 +338,24 @@ def test_budget_ends_a_transported_blow_up(case):
     assert [(r.name, r.status) for r in report.records[:at]] == before
     record = report.records[at]
     assert record.status is Status.CANNOT_CERTIFY and "term budget" in record.witness
+
+
+def test_a_budget_met_building_mu_is_a_record(monkeypatch, tmp_path):
+    """With no term product allowed, building mu for the sigma bundle meets
+    the budget: "axiom 4: comparison map" is cannot-certify and names it,
+    every record is written, and the earlier failures make the exit 2."""
+    path = tmp_path / "sigma.json"
+    path.write_text(serialize.dumps(serialize.bundle_to_json(BLOW_UPS["sigma"][0]())), encoding="utf-8")
+    monkeypatch.setattr(polycore, "TERM_BUDGET", 0)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", "json", "verify", "--kind", "bundle", str(path)])
+    assert (code, err.getvalue()) == (2, "")
+    checks = {r["name"]: r for r in json.loads(out.getvalue())["checks"]}
+    before = [name for name, _ in BLOW_UPS["sigma"][3] if not name.startswith("axiom 4")]
+    assert list(checks) == before + ["axiom 4: comparison map", "axiom 5"]
+    record = checks["axiom 4: comparison map"]
+    assert record["status"] == "cannot-certify" and "term budget" in record["witness"]
 
 
 def test_adds_fibrewise_reads_sigma_and_zeta():

@@ -301,14 +301,39 @@ def test_invert_refutes_by_a_seeded_det_sample():
     assert not witness.endswith(tuple("(" + ", ".join(map(str, p)) + ")" for p in fixed))
 
 
-def test_no_inverse_fails_a_refutation_and_cannot_certify_the_budget():
-    rep = Report(subject="inversions")
-    rep.no_inverse("refuted", "f inverts", NotInvertible("det J vanishes at (0)"))
-    rep.no_inverse("budget", "f inverts", BudgetExceeded("no inverse of degree at most 64"))
-    assert [(r.status, r.witness) for r in rep.records] == [
-        (Status.FAIL, "det J vanishes at (0)"),
-        (Status.CANNOT_CERTIFY, "no inverse of degree at most 64"),
+def test_attempt_returns_the_value_or_records_what_was_raised():
+    def raising(exc):
+        def make():
+            raise exc
+        return make
+
+    rep = Report(subject="attempts")
+    assert rep.attempt("built", "f exists", lambda: 7) == 7
+    assert rep.attempt("unpaired", "f pairs", raising(ShapeError("parts lie over different points"))) is None
+    assert rep.attempt("refuted", "f inverts", raising(NotInvertible("det J vanishes at (0)"))) is None
+    assert rep.attempt("budget", "f inverts", raising(BudgetExceeded("no inverse of degree at most 64"))) is None
+    assert [(r.name, r.status, r.witness) for r in rep.records] == [
+        ("unpaired", Status.FAIL, "parts lie over different points"),
+        ("refuted", Status.FAIL, "det J vanishes at (0)"),
+        ("budget", Status.CANNOT_CERTIFY, "no inverse of degree at most 64"),
     ]
+
+
+def test_invert_stops_at_the_degree_budget():
+    # The two-level shear (x0, x1 + x0^9, x2 + x1^9) inverts, but its
+    # inverse has degree 81 = 9^2, the Bass-Connell-Wright bound, which is
+    # above the inverter's degree budget of 64.
+    ninth = [Polynomial.from_terms(3, {(9, 0, 0): 1}), Polynomial.from_terms(3, {(0, 9, 0): 1})]
+    f = PolyMap(3, (v(3, 0), v(3, 1) + ninth[0], v(3, 2) + ninth[1]))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        invert_polymap(f)
+    assert time.perf_counter() - start < 1
+    witness = info.value.witness
+    assert witness.startswith("no inverse of degree at most 64, the inverter's degree budget")
+    rep = Report(subject="inversion")
+    assert rep.attempt("inversion", "f inverts", lambda: invert_polymap(f)) is None
+    assert [(r.status, r.witness) for r in rep.records] == [(Status.CANNOT_CERTIFY, witness)]
 
 
 _small = st.integers(min_value=-2, max_value=2)

@@ -29,6 +29,14 @@ def test_tangent_space_layout():
     assert [name for name, _ in t2s.layout] == ["x", "t", "u", "v"]
 
 
+def test_tangent_names_past_the_letter_pool_are_numbered():
+    # Blocks named a..m leave twelve letters of the pool for their tangent
+    # blocks; the thirteenth is named t0.
+    s = Space(13, tuple((chr(ord("a") + i), 1) for i in range(13)))
+    names = [name for name, _ in T_obj(s).layout]
+    assert names == list("abcdefghijklm") + list("tuvwnopqrsyz") + ["t0"]
+
+
 def test_axiom_suite_passes_dims_1_and_2():
     for n in (1, 2):
         report = check_tangent_axioms(Space.euclidean(n))

@@ -23,7 +23,7 @@ from tangentcat.cli import main
 from tangentcat.connection import canonical_connection, christoffel_connection, derive_horizontal
 from tangentcat.dbundle import tangent_bundle, trivial_bundle
 from tangentcat.polycore import BudgetExceeded, Polynomial
-from tangentcat.report import Report, Status
+from tangentcat.report import CheckRecord, Report, Status
 from tangentcat.tangent import Space
 
 
@@ -255,7 +255,7 @@ def test_decide_records_an_exhausted_budget_as_cannot_certify():
 def test_a_summary_keeps_a_cannot_certify_sub_report():
     sub = Report(subject="axiom")
     sub.check("square", "f = g", True)
-    sub.cannot_certify("addition", "h = k", "over the term budget")
+    sub.add(CheckRecord("addition", "h = k", Status.CANNOT_CERTIFY, "over the term budget"))
     rep = Report(subject="bundle")
     assert rep.summary("axiom", "both squares", sub) is False
     assert [(r.status, r.witness) for r in rep.records] == [(Status.CANNOT_CERTIFY, "addition")]

@@ -116,10 +116,10 @@ def test_biproduct_base_mismatch():
 def test_recognize_canonical_presentation():
     tm = tangent_bundle(Space.euclidean(1))
     bp = biproduct([tm, tm])
-    rec = recognize_biproduct(bp.sum.total, bp.projections, bp.summands)
-    assert rec.report.verdict is Status.PASS
-    assert rec.biproduct is not None
-    assert bundle_difference(rec.biproduct.sum, bp.sum) is None
+    rep, got = recognize_biproduct(bp.sum.total, bp.projections, bp.summands)
+    assert rep.verdict is Status.PASS
+    assert got is not None
+    assert bundle_difference(got.sum, bp.sum) is None
 
 
 def test_recognize_permuted_blocks():
@@ -127,11 +127,11 @@ def test_recognize_permuted_blocks():
     bp = biproduct([tv, tv])
     perm = PolyMap.selection(3, [0, 2, 1])
     projections = [compose(perm, p) for p in bp.projections]
-    rec = recognize_biproduct(bp.sum.total, projections, bp.summands)
-    assert rec.report.verdict is Status.PASS
-    assert rec.biproduct is not None
-    assert map_equal(rec.biproduct.to_canonical, perm)
-    assert biproduct_laws(rec.biproduct).verdict is Status.PASS
+    rep, got = recognize_biproduct(bp.sum.total, projections, bp.summands)
+    assert rep.verdict is Status.PASS
+    assert got is not None
+    assert map_equal(got.to_canonical, perm)
+    assert biproduct_laws(got).verdict is Status.PASS
 
 
 def test_recognize_mixed_fibre_coordinates():
@@ -144,11 +144,11 @@ def test_recognize_mixed_fibre_coordinates():
         PolyMap.from_components(3, [x(3, 0), x(3, 1) + x(3, 2)]),
         PolyMap.from_components(3, [x(3, 0), x(3, 1) - x(3, 2)]),
     ]
-    rec = recognize_biproduct(total, projections, [tv, tv])
-    assert rec.report.verdict is Status.PASS
-    assert rec.biproduct is not None
-    assert biproduct_laws(rec.biproduct).verdict is Status.PASS
-    assert verify_bundle(rec.biproduct.sum).verdict is Status.PASS
+    rep, got = recognize_biproduct(total, projections, [tv, tv])
+    assert rep.verdict is Status.PASS
+    assert got is not None
+    assert biproduct_laws(got).verdict is Status.PASS
+    assert verify_bundle(got.sum).verdict is Status.PASS
 
 
 @pytest.mark.parametrize(
@@ -168,11 +168,10 @@ def test_recognize_refutes_a_comparison_map_without_inverse(first, second, refut
         PolyMap.from_components(3, [x(3, 0), first()]),
         PolyMap.from_components(3, [x(3, 0), second()]),
     ]
-    rec = recognize_biproduct(total, projections, [tv, tv])
-    assert rec.report.verdict is Status.FAIL
-    assert rec.biproduct is None
-    assert rec.refutation is not None and rec.refutation.witness == refutation
-    record = rec.report.records[-1]
+    rep, got = recognize_biproduct(total, projections, [tv, tv])
+    assert rep.verdict is Status.FAIL
+    assert got is None
+    record = rep.records[-1]
     assert (record.name, record.status, record.witness) == ("comparison inversion", Status.FAIL, refutation)
 
 
@@ -193,17 +192,33 @@ def test_a_refuted_map_is_decided_once(monkeypatch):
         PolyMap.from_components(3, [x(3, 0), x(3, 1) * (Polynomial.constant(3, 1) + x(3, 0))]),
         PolyMap.from_components(3, [x(3, 0), x(3, 2)]),
     ]
-    rec = recognize_biproduct(biproduct([tv, tv]).sum.total, projections, [tv, tv])
-    assert rec.report.records[-1].status is Status.FAIL
+    rep, _ = recognize_biproduct(biproduct([tv, tv]).sum.total, projections, [tv, tv])
+    assert rep.records[-1].status is Status.FAIL
     assert len(calls) == 2
 
 
 def test_recognize_rejects_dropped_projection():
     tv = trivial_bundle(Space.euclidean(1), 1)
     bp = biproduct([tv, tv])
-    rec = recognize_biproduct(bp.sum.total, [bp.projections[0]], [tv])
-    assert rec.report.verdict is Status.FAIL
-    assert rec.biproduct is None
+    rep, got = recognize_biproduct(bp.sum.total, [bp.projections[0]], [tv])
+    assert rep.verdict is Status.FAIL
+    assert got is None
+
+
+@pytest.mark.parametrize(
+    "count, summands, law, witness",
+    [
+        (2, 1, "one projection per summand", "2 projections for 1 summands"),
+        (0, 0, "nonempty summand list", "no summands given"),
+    ],
+    ids=["projections-differ-from-summands", "no-summands"],
+)
+def test_recognize_rejects_an_arity_mismatch(count, summands, law, witness):
+    tv = trivial_bundle(Space.euclidean(1), 1)
+    bp = biproduct([tv, tv])
+    rep, got = recognize_biproduct(bp.sum.total, bp.projections[:count], [tv] * summands)
+    assert got is None
+    assert [(r.name, r.law, r.status, r.witness) for r in rep.records] == [("arity", law, Status.FAIL, witness)]
 
 
 def test_recognize_rejects_mismatched_bases():
@@ -212,17 +227,17 @@ def test_recognize_rejects_mismatched_bases():
     shifted = PolyMap.from_components(
         3, [x(3, 0) + Polynomial.constant(3, 1), x(3, 2)]
     )
-    rec = recognize_biproduct(bp.sum.total, [bp.projections[0], shifted], [tv, tv])
-    assert rec.report.verdict is Status.FAIL
+    rep, got = recognize_biproduct(bp.sum.total, [bp.projections[0], shifted], [tv, tv])
+    assert rep.verdict is Status.FAIL
 
 
 def test_a_sum_off_standard_position_cannot_be_certified():
     # the common base map x -> 2x inverts, but it is not a coordinate selection
     tv = trivial_bundle(Space.euclidean(1), 1)
     projections = [PolyMap.from_components(3, [x(3, 0).scale(2), x(3, k)]) for k in (1, 2)]
-    rec = recognize_biproduct(biproduct([tv, tv]).sum.total, projections, [tv, tv])
-    assert rec.biproduct is None
-    record = rec.report.records[-1]
+    rep, got = recognize_biproduct(biproduct([tv, tv]).sum.total, projections, [tv, tv])
+    assert got is None
+    record = rep.records[-1]
     assert (record.name, record.status, record.witness) == (
         "standard position",
         Status.CANNOT_CERTIFY,
@@ -267,12 +282,12 @@ def test_partials_of_a_permuted_presentation():
     tm = tangent_bundle(Space.euclidean(1))
     bp = biproduct([tv, tm])
     perm = PolyMap.selection(3, [0, 2, 1])
-    rec = recognize_biproduct(bp.sum.total, [compose(perm, p) for p in bp.projections], bp.summands)
-    assert rec.biproduct is not None
+    rep, got = recognize_biproduct(bp.sum.total, [compose(perm, p) for p in bp.projections], bp.summands)
+    assert got is not None
     for j in range(2):
-        pb = partial_bundle(rec.biproduct, j)
-        assert map_equal(pb.q, rec.biproduct.projections[j])
-        assert map_equal(pb.zeta, rec.biproduct.injections[j])
+        pb = partial_bundle(got, j)
+        assert map_equal(pb.q, got.projections[j])
+        assert map_equal(pb.zeta, got.injections[j])
         assert verify_bundle(pb).verdict is Status.PASS
 
 
@@ -472,12 +487,12 @@ def test_a_recognized_sum_is_transported_when_read(presentation, monkeypatch):
     canon = biproduct(summands)
     psi, psi_inv = _comparison(presentation, summands)
     moves = _spy_on_transport(monkeypatch)
-    rec = recognize_biproduct(canon.total, [compose(psi, p) for p in canon.projections], summands)
-    assert rec.report.verdict is Status.PASS and moves == []
-    assert map_equal(rec.biproduct.to_canonical, psi)
+    rep, got = recognize_biproduct(canon.total, [compose(psi, p) for p in canon.projections], summands)
+    assert rep.verdict is Status.PASS and moves == []
+    assert map_equal(got.to_canonical, psi)
     eager = transport_bundle(canon.sum, psi, psi_inv, canon.total)
-    assert bundle_difference(rec.biproduct.sum, eager) is None
-    assert rec.biproduct.sum is rec.biproduct.sum and len(moves) == 1
+    assert bundle_difference(got.sum, eager) is None
+    assert got.sum is got.sum and len(moves) == 1
 
 
 def test_a_failing_law_is_reported_on_the_presented_sum():
@@ -488,7 +503,7 @@ def test_a_failing_law_is_reported_on_the_presented_sum():
     canon = biproduct(summands)
     psi, psi_inv = _comparison("triangular", summands)
     projections = tuple(compose(psi, p) for p in canon.projections)
-    rec = recognize_biproduct(canon.total, projections, summands)
+    rep, got = recognize_biproduct(canon.total, projections, summands)
     presented = replace(
         canon,
         projections=projections,
@@ -497,7 +512,7 @@ def test_a_failing_law_is_reported_on_the_presented_sum():
         from_canonical=psi_inv,
     )
     expected = biproduct_laws(presented)
-    assert expected.verdict is Status.FAIL and rec.biproduct is None
+    assert expected.verdict is Status.FAIL and got is None
     assert expected.to_dict() != biproduct_laws(canon).to_dict()
-    checks = rec.report.to_dict()["checks"]
+    checks = rep.to_dict()["checks"]
     assert checks[-len(expected.records):] == expected.to_dict()["checks"]
