@@ -3,9 +3,13 @@
 Exit codes: 0 all checks pass, 1 parse/validation error, 2 at least one check
 refuted, 3 inconclusive (a certificate could not be produced).  No input is
 rejected for its size: a product beyond ``polycore.TERM_BUDGET`` ends in
-cannot-certify, as a record when a check meets it, and otherwise as exit 3
-with ``cannot-certify:`` and the budget on stderr.  Output is
-deterministic; files are written atomically (temp file, then rename).
+cannot-certify.  Every check, and the transport of ``total-bundle``'s
+sidecar, builds inside a record, which the report then holds; a budget
+met outside every record (parsing, building ``demo christoffel``'s K, or
+a construction several records read, such as H) ends the command as
+exit 3 with ``cannot-certify:`` and the budget on stderr.  No sidecar is
+written when its construction did not finish.  Output is deterministic;
+files are written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ def cmd_derive_h(args) -> int:
     eff, d = check_effective(Connection(bundle=c.bundle, K=c.K))
     if d is None:
         # the effectiveness verdict: fail, or cannot-certify past the budget
-        why = "horizontal derivation needs an effective vertical map: " + "; ".join(r.name for r in eff.failing())
+        why = "horizontal derivation needs an effective vertical map: " + eff.why()
         report = Report(subject="horizontal derivation")
         report.add(CheckRecord("derivation", "an effective vertical map determines H", eff.verdict, why))
         _emit(report, args.format)
@@ -149,8 +153,15 @@ def cmd_total_bundle(args) -> int:
         return _exit_code(eff)
     report = eff
     report.extend(verify_sum(decomp.biproduct), prefix="total bundle: ")
+    # the sidecar is the sum on TE, transported along theta here if verify_sum has not
+    total = report.attempt(
+        "total bundle: transport", "the sum transports onto TE along theta", lambda: decomp.biproduct.sum
+    )
+    if total is None:
+        _emit(report, args.format)
+        return _exit_code(report)
     out = _sidecar(args.path, "total")
-    _atomic_write(out, serialize.dumps(serialize.bundle_to_json(decomp.biproduct.sum)))
+    _atomic_write(out, serialize.dumps(serialize.bundle_to_json(total)))
     _emit(report, args.format, extra={"written": out})
     return _exit_code(report)
 

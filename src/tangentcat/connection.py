@@ -30,7 +30,10 @@ with an exact refutation witness, and is cannot-certify only when the
 engine's budget runs out.  That record is the recognition's "comparison
 inversion", which ``Report.attempt`` wrote, copied under the name "pairing
 inversion"; ``equivalence_suite`` copies it in turn onto its four legs.
-This module catches no exception.
+Every other law, the vertical gate's first, is built inside
+``Report.check_equal``, so a budget met there is the record's
+cannot-certify, and the records that summarise it name it through
+``Report.why``.  This module catches no exception.
 
 Coordinate conventions: the bundle must have its base coordinates leading, so
 E = (x, w), TE = (x, w, u, v) with u the tangent of x and v the tangent of w,
@@ -153,7 +156,7 @@ def check_vertical(c: Connection) -> Report:
     b = c.bundle
     rep = Report(subject="vertical map")
     rep.check_equal(
-        "retraction", "lift then K is the identity", compose(b.lift, c.K), PolyMap.identity(b.total.dim)
+        "retraction", "lift then K is the identity", lambda: (compose(b.lift, c.K), PolyMap.identity(b.total.dim))
     )
     for name, f, src in _sources(b):
         rep.extend(
@@ -326,9 +329,9 @@ def _effectiveness(c: Connection, vert: Report) -> tuple[Report, Optional[Decomp
     rep.extend(recog, prefix="Whitney sum: ")
     if bp is None:
         return rep, None
-    expected = (zero_0(b.total), T_map(b.zeta), b.lift)
+    expected = (lambda: zero_0(b.total), lambda: T_map(b.zeta), lambda: b.lift)
     for name, got, want in zip(("first", "second", "third"), bp.injections, expected):
-        rep.check_equal(f"{name} injection", _INJECTION_LAW, got, want)
+        rep.check_equal(f"{name} injection", _INJECTION_LAW, lambda: (got, want()))
     premise = "additivity of K" if rep.passed and _partials_by_additivity(c) else None
     partials = (
         ("first partial bundle", "equals the tangent bundle of the total space", tangent_bundle(b.total)),
@@ -443,10 +446,7 @@ def effective_decomposition(c: Connection) -> Decomposition:
     """The decomposition of an effective K; a ShapeError names the failing records otherwise."""
     rep, decomp = check_effective(c)
     if decomp is None:
-        raise ShapeError(
-            "horizontal derivation needs an effective vertical map: "
-            + "; ".join(r.name for r in rep.failing())
-        )
+        raise ShapeError("horizontal derivation needs an effective vertical map: " + rep.why())
     return decomp
 
 
@@ -547,13 +547,13 @@ def equivalence_suite(c: Connection) -> Report:
             rep.check(*legs[0], hor.passed and pair.passed,
                       "; ".join(r.name for r in (*hor.failing(), *pair.failing())) or None)
         else:
-            rep.check(*legs[0], False, "; ".join(r.name for r in vert.failing()) or "no decomposition")
+            rep.check(*legs[0], False, vert.why() or "no decomposition")
         # Leg 2: K is an effective vertical map.
         rep.summary(*legs[1], eff_rep)
         # Legs 3 and 4 share the structural comparisons made once the
         # pairing inverts, which it does only past the gate.
         if not vert.passed:
-            why = "; ".join(r.name for r in vert.failing())
+            why = vert.why()
             rep.check("sum presentation", "TE is the stated Whitney sum", False, why)
             rep.check("product presentation", "retraction plus the stated product", False, why)
         else:
@@ -566,7 +566,6 @@ def equivalence_suite(c: Connection) -> Report:
         rep.check_equal(
             "affine case",
             "the third injection is the canonical vertical lift",
-            decomp.biproduct.injections[2],
-            lift_l(b.base),
+            lambda: (decomp.biproduct.injections[2], lift_l(b.base)),
         )
     return rep

@@ -27,10 +27,10 @@ position" axiom 1, "two-sided inverse" the "left inverse" of axiom 4 and
 "T is a functor" its "preserved by T".  Each proof is in the docstring or
 comment beside its record.
 
-mu, its inverse, and the composites of the unit, associativity, axiom 4
-and axiom 5 records are built inside ``Report.attempt`` or
-``Report.decide``, which record a refutation or an exhausted budget; this
-module catches nothing.
+mu and its inverse are built inside ``Report.attempt``, and every law's
+composites inside ``Report.check_equal`` (through ``Report.decide`` when
+the law has a premise), which record a refutation or an exhausted budget;
+this module catches nothing.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def additive_morphism_report(
     the composites give; in every other case they are built.
     """
     rep = Report(subject=subject)
-    base = rep.check_equal("base square", "q f = g r", compose(src.q, f), compose(g, dst.q))
+    base = rep.check_equal("base square", "q f = g r", lambda: (compose(src.q, f), compose(g, dst.q)))
     fibre = src.fibre_coords
     fibrewise = base and src.adds_fibrewise and dst.adds_fibrewise and all(
         sum(exps[i] for i in fibre) == 1 for k in dst.fibre_coords for exps, _ in g.components[k].terms
@@ -216,25 +216,20 @@ def check_tangent_axioms(s: Space) -> Report:
     c = flip_c(s)
     l = lift_l(s)
 
-    rep.check_equal("flip involution", "cc = 1", compose(c, c), PolyMap.identity(4 * s.dim))
-    rep.check_equal("lift fixed by flip", "lc = l", compose(l, c), l)
+    rep.check_equal("flip involution", "cc = 1", lambda: (compose(c, c), PolyMap.identity(4 * s.dim)))
+    rep.check_equal("lift fixed by flip", "lc = l", lambda: (compose(l, c), l))
     rep.check_equal(
-        "lift coassociativity",
-        "l T(l) = l l_T",
-        compose(l, T_map(l)),
-        compose(l, lift_l(tm)),
+        "lift coassociativity", "l T(l) = l l_T", lambda: (compose(l, T_map(l)), compose(l, lift_l(tm)))
     )
     rep.check_equal(
         "flip braid relation",
         "T(c) c_T T(c) = c_T T(c) c_T",
-        compose_all(T_map(c), flip_c(tm), T_map(c)),
-        compose_all(flip_c(tm), T_map(c), flip_c(tm)),
+        lambda: (compose_all(T_map(c), flip_c(tm), T_map(c)), compose_all(flip_c(tm), T_map(c), flip_c(tm))),
     )
     rep.check_equal(
         "lift/flip exchange",
         "l_T T(c) c_T = c T(l)",
-        compose_all(lift_l(tm), T_map(c), flip_c(tm)),
-        compose_all(c, T_map(l)),
+        lambda: (compose_all(lift_l(tm), T_map(c), flip_c(tm)), compose_all(c, T_map(l))),
     )
 
     tb = tangent_bundle(s)
@@ -281,8 +276,8 @@ def check_universality(b: DiffBundle) -> Report:
     inverse nu.  mu need not be affine in the fibre variables: on the
     tangent space of a total space it never is.  mu and its inverse are
     built through ``Report.attempt``, and the two computed identities
-    inside ``Report.decide``: a mu whose pairing cannot be formed, or that
-    has no inverse, fails its record with the refutation, and one that
+    inside ``Report.check_equal``: a mu whose pairing cannot be formed, or
+    that has no inverse, fails its record with the refutation, and one that
     meets the budget leaves it cannot-certify; the records after a mu or an
     inverse that was not built are not written.
 
@@ -300,11 +295,8 @@ def check_universality(b: DiffBundle) -> Report:
     if mu is None:
         return rep
     proj_to_m = compose(power_proj(e, b.base_coords, 2, 1), b.q)
-    rep.decide(
-        "square commutes",
-        "mu T(q) = proj 0",
-        None,
-        lambda: (compose(mu, T_map(b.q)), compose(proj_to_m, zero_0(b.base))),
+    rep.check_equal(
+        "square commutes", "mu T(q) = proj 0", lambda: (compose(mu, T_map(b.q)), compose(proj_to_m, zero_0(b.base)))
     )
     out_positions = list(range(e)) + [e + i for i in b.fibre_coords]
     restricted = PolyMap(power_dim(e, b.base_coords, 2), tuple(mu.components[pos] for pos in out_positions))
@@ -315,11 +307,8 @@ def check_universality(b: DiffBundle) -> Report:
 
     zero_sub = _zero_tangent_base(b)
     rep.decide("left inverse", "nu mu = 1", "two-sided inverse")
-    if rep.decide(
-        "right inverse on subvariety",
-        "mu nu = 1 where T(q) vanishes",
-        None,
-        lambda: (compose_all(zero_sub, nu, mu), zero_sub),
+    if rep.check_equal(
+        "right inverse on subvariety", "mu nu = 1 where T(q) vanishes", lambda: (compose_all(zero_sub, nu, mu), zero_sub)
     ):
         rep.decide("preserved by T", "T(nu) inverts T(mu) on the T-level subvariety", "T is a functor")
     return rep
@@ -328,31 +317,28 @@ def check_universality(b: DiffBundle) -> Report:
 def verify_bundle(b: DiffBundle) -> Report:
     """Run all five differential-bundle axioms as exact identities.
 
-    Axiom 5 substitutes the lift into T of itself, so its composites reach
-    the square of the lift's degree; they are built inside
-    ``Report.decide``, which records a build beyond the term budget as
-    cannot-certify.
+    Every law is built inside ``Report.check_equal``, which records a
+    build beyond the term budget as cannot-certify; axiom 5, which
+    substitutes the lift into T of itself, is the one whose composites
+    reach the square of the lift's degree.
     """
     rep = Report(subject=f"bundle over R^{b.base.dim} with fibre R^{b.fibre_dim}")
     e, m, bc = b.total.dim, b.base.dim, b.base_coords
     q = b.q
     p1, p2 = power_proj(e, bc, 2, 1), power_proj(e, bc, 2, 2)
 
-    rep.check_equal("projection compatibility", "sigma q = proj q", compose(b.sigma, q), compose(p1, q))
-    rep.check_equal("section", "zeta q = 1", compose(b.zeta, q), PolyMap.identity(m))
+    rep.check_equal("projection compatibility", "sigma q = proj q", lambda: (compose(b.sigma, q), compose(p1, q)))
+    rep.check_equal("section", "zeta q = 1", lambda: (compose(b.zeta, q), PolyMap.identity(m)))
 
     # Axiom 0 beyond the two squares: the monoid laws of b.add.  A zeta or
     # sigma that moves the base point makes the pairings of the unit and
     # associativity laws impossible to form, which refutes the law in question.
-    rep.check_equal("commutativity", "swap sigma = sigma", b.add(p2, p1), b.sigma)
+    rep.check_equal("commutativity", "swap sigma = sigma", lambda: (b.add(p2, p1), b.sigma))
     one = PolyMap.identity(e)
-    rep.decide("unit", "<q zeta, 1> sigma = 1", None, lambda: (b.add(compose(q, b.zeta), one), one))
+    rep.check_equal("unit", "<q zeta, 1> sigma = 1", lambda: (b.add(compose(q, b.zeta), one), one))
     q1, q2, q3 = (power_proj(e, bc, 3, i) for i in (1, 2, 3))
-    rep.decide(
-        "associativity",
-        "(a+b)+c = a+(b+c)",
-        None,
-        lambda: (b.add(b.add(q1, q2), q3), b.add(q1, b.add(q2, q3))),
+    rep.check_equal(
+        "associativity", "(a+b)+c = a+(b+c)", lambda: (b.add(b.add(q1, q2), q3), b.add(q1, b.add(q2, q3)))
     )
 
     # Axiom 1 holds in standard position, for every (total, base_coords): the
@@ -372,11 +358,8 @@ def verify_bundle(b: DiffBundle) -> Report:
 
     rep.extend(check_universality(b), prefix="axiom 4: ")
 
-    rep.decide(
-        "axiom 5",
-        "lift l_E = lift T(lift)",
-        None,
-        lambda: (compose(b.lift, lift_l(b.total)), compose(b.lift, T_map(b.lift))),
+    rep.check_equal(
+        "axiom 5", "lift l_E = lift T(lift)", lambda: (compose(b.lift, lift_l(b.total)), compose(b.lift, T_map(b.lift)))
     )
     return rep
 
@@ -422,8 +405,8 @@ def linear_morphism_report(
         raise ShapeError("bottom morphism has the wrong shape")
     rep = Report(subject=subject)
     projection, lift = LINEAR_SQUARES
-    rep.check_equal(*projection, compose(src.q, f), compose(g, dst.q))
-    rep.check_equal(*lift, compose(src.lift, T_map(g)), compose(g, dst.lift))
+    rep.check_equal(*projection, lambda: (compose(src.q, f), compose(g, dst.q)))
+    rep.check_equal(*lift, lambda: (compose(src.lift, T_map(g)), compose(g, dst.lift)))
     return rep
 
 

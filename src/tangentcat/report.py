@@ -1,12 +1,16 @@
 """Check reports: per-identity pass/fail records with an overall verdict.
 
 This module is the one place where a raised refutation or budget becomes a
-record, through ``Report.attempt`` and ``Report.decide``.  ``ShapeError``
-(parts over different base points cannot be paired) and ``NotInvertible``
-(an exact refutation of an inverse) fail the law with their message as the
-witness; ``BudgetExceeded`` leaves it cannot-certify.  The checking modules
-build what may raise inside one of the two and catch nothing; the CLI ends
-a command when one of these escapes a construction.
+record, through ``Report.attempt`` and ``Report.check_equal``.
+``ShapeError`` (parts over different base points cannot be paired) and
+``NotInvertible`` (an exact refutation of an inverse) fail the law with
+their message as the witness; ``BudgetExceeded`` leaves it cannot-certify.
+``check_equal`` takes a builder, not built maps, so every law is built
+inside the report; the checking modules catch nothing, and the CLI ends a
+command only when one of these escapes a construction that no law holds,
+such as parsing.  ``Report.why`` names the records that did not pass, with
+the witness of each cannot-certify one, so a summary of a report stopped
+by the budget still names the budget.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ T = TypeVar("T")
 
 # What a construction raises when it refutes a law or exceeds the budget.
 _RAISED = (ShapeError, NotInvertible, BudgetExceeded)
+
+# What a law builds: the two maps it equates, or the comparison's witness.
+Build = Callable[[], Union[tuple[PolyMap, PolyMap], Optional[str]]]
 
 
 class Status(str, Enum):
@@ -49,49 +56,42 @@ class Report:
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)
 
-    def check_equal(self, name: str, law: str, lhs: PolyMap, rhs: PolyMap) -> bool:
-        """Record exact equality of two maps; on failure keep a witness monomial."""
-        if map_equal(lhs, rhs):
-            self.add(CheckRecord(name, law, Status.PASS))
-            return True
-        self.add(CheckRecord(name, law, Status.FAIL, first_difference(lhs, rhs)))
-        return False
+    def check_equal(self, name: str, law: str, build: Build) -> bool:
+        """Record a law decided by ``build()``, which builds what it compares.
 
-    def decide(
-        self,
-        name: str,
-        law: str,
-        premise: Optional[str],
-        build: Optional[Callable[[], Union[tuple[PolyMap, PolyMap], Optional[str]]]] = None,
-    ) -> bool:
-        """Record a law, passed by its ``premise`` or else decided by ``build()``.
-
-        A premise names what makes the law hold without its composites: a
-        pass so decided keeps the premise in ``CheckRecord.premise``, which
-        no output writes, so its bytes are those of a computed pass.  With
-        no premise, ``build()`` returns either the two maps the law equates,
-        compared exactly, or the comparison's witness (None when it holds).
-        A build that raises is recorded as ``attempt`` records it.
+        ``build()`` returns either the two maps the law equates, compared
+        exactly (on failure the witness is a monomial where they differ),
+        or the comparison's witness (None when it holds).  A build that
+        raises is recorded as ``attempt`` records it, so nothing a law
+        builds escapes the report.
         """
-        if premise is not None:
-            self.add(CheckRecord(name, law, Status.PASS, premise=premise))
-            return True
         try:
             built = build()
         except _RAISED as exc:
             return self._raised(name, law, exc)
         if isinstance(built, tuple):
-            return self.check_equal(name, law, *built)
+            built = None if map_equal(*built) else first_difference(*built)
         return self.check(name, law, built is None, built)
+
+    def decide(self, name: str, law: str, premise: Optional[str], build: Optional[Build] = None) -> bool:
+        """Record a law, passed by its ``premise`` or else decided by ``check_equal(name, law, build)``.
+
+        A premise names what makes the law hold without its composites: a
+        pass so decided keeps the premise in ``CheckRecord.premise``, which
+        no output writes, so its bytes are those of a computed pass.
+        """
+        if premise is not None:
+            self.add(CheckRecord(name, law, Status.PASS, premise=premise))
+            return True
+        return self.check_equal(name, law, build)
 
     def check(self, name: str, law: str, ok: bool, witness: Optional[str] = None) -> bool:
         self.add(CheckRecord(name, law, Status.PASS if ok else Status.FAIL, None if ok else witness))
         return ok
 
     def summary(self, name: str, law: str, sub: "Report") -> bool:
-        """Record a sub-report as one check with its verdict, witnessed by
-        the names of its records that did not pass."""
-        self.add(CheckRecord(name, law, sub.verdict, "; ".join(r.name for r in sub.failing()) or None))
+        """Record a sub-report as one check with its verdict, witnessed by ``sub.why()``."""
+        self.add(CheckRecord(name, law, sub.verdict, sub.why() or None))
         return sub.passed
 
     def attempt(self, name: str, law: str, make: Callable[[], T]) -> Optional[T]:
@@ -136,6 +136,16 @@ class Report:
 
     def failing(self) -> list[CheckRecord]:
         return [r for r in self.records if r.status is not Status.PASS]
+
+    def why(self) -> str:
+        """The names of the records that did not pass, joined by "; ".
+
+        A cannot-certify record carries its witness in parentheses, so that
+        the budget that stopped it is named wherever the name is quoted.
+        """
+        return "; ".join(
+            r.name if r.status is Status.FAIL else f"{r.name} ({r.witness})" for r in self.failing()
+        )
 
     def to_dict(self) -> dict:
         return {

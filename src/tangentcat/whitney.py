@@ -21,7 +21,9 @@ record is computed.  The one record passed by a premise is a recognition's
 "tangential", by "T is a functor" through ``Report.decide``.
 ``recognize_biproduct`` returns its report with the sum, or None, as
 ``check_effective`` does; it inverts the comparison map through
-``Report.attempt``, which records a refutation or an exhausted budget.
+``Report.attempt``, and builds every law, the common-base records and the
+biproduct laws, inside ``Report.check_equal``; both record a refutation or
+an exhausted budget.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ from .polycore import (
     Polynomial,
     ShapeError,
     compose,
-    first_difference,
     invert_polymap,
-    map_equal,
 )
 from .report import CheckRecord, Report, Status
 from .tangent import Space
@@ -187,33 +187,35 @@ def biproduct(summands: Sequence[DiffBundle], base: Optional[Space] = None) -> B
 
 
 def biproduct_laws(bp: BiproductBundle) -> Report:
-    """The hom-monoid identities that make the sum a biproduct."""
+    """The hom-monoid identities that make the sum a biproduct.
+
+    Each law is built inside ``Report.check_equal``, the resolution of the
+    identity with the sum it reads, so a refutation or budget met while
+    building one is its record.
+    """
     rep = Report(subject=f"biproduct with {len(bp.summands)} summands")
     r = len(bp.summands)
-    for i in range(r):
+    for i, inj in enumerate(bp.injections):
         rep.check_equal(
             f"retraction {i + 1}",
             "injection then projection is the identity",
-            compose(bp.injections[i], bp.projections[i]),
-            PolyMap.identity(bp.summands[i].total.dim),
+            lambda: (compose(inj, bp.projections[i]), PolyMap.identity(bp.summands[i].total.dim)),
         )
         for j in range(r):
             if i != j:
                 rep.check_equal(
                     f"annihilation {i + 1},{j + 1}",
                     "injection then foreign projection is the zero morphism",
-                    compose(bp.injections[i], bp.projections[j]),
-                    compose(bp.summands[i].q, bp.summands[j].zeta),
+                    lambda: (compose(inj, bp.projections[j]), compose(bp.summands[i].q, bp.summands[j].zeta)),
                 )
-    total = compose(bp.sum.q, bp.sum.zeta)
-    for i in range(r):
-        total = bp.sum.add(total, compose(bp.projections[i], bp.injections[i]))
-    rep.check_equal(
-        "resolution of identity",
-        "sum of projection-injection composites is the identity",
-        total,
-        PolyMap.identity(bp.sum.total.dim),
-    )
+
+    def resolution() -> tuple[PolyMap, PolyMap]:
+        total = compose(bp.sum.q, bp.sum.zeta)
+        for p, inj in zip(bp.projections, bp.injections):
+            total = bp.sum.add(total, compose(p, inj))
+        return total, PolyMap.identity(bp.sum.total.dim)
+
+    rep.check_equal("resolution of identity", "sum of projection-injection composites is the identity", resolution)
     return rep
 
 
@@ -270,11 +272,8 @@ def recognize_biproduct(
         return rep, None
     base_maps = [compose(p, s.q) for p, s in zip(projections, summands)]
     for i in range(1, len(base_maps)):
-        if not rep.check(
-            f"common base {i + 1}",
-            "all projections induce the same base map",
-            map_equal(base_maps[0], base_maps[i]),
-            first_difference(base_maps[0], base_maps[i]),
+        if not rep.check_equal(
+            f"common base {i + 1}", "all projections induce the same base map", lambda: (base_maps[0], base_maps[i])
         ):
             return rep, None
     comps: list[Polynomial] = list(base_maps[0].components)

@@ -301,12 +301,14 @@ def test_invert_refutes_by_a_seeded_det_sample():
     assert not witness.endswith(tuple("(" + ", ".join(map(str, p)) + ")" for p in fixed))
 
 
-def test_attempt_returns_the_value_or_records_what_was_raised():
-    def raising(exc):
-        def make():
-            raise exc
-        return make
+def raising(exc):
+    """A builder that raises ``exc``."""
+    def make():
+        raise exc
+    return make
 
+
+def test_attempt_returns_the_value_or_records_what_was_raised():
     rep = Report(subject="attempts")
     assert rep.attempt("built", "f exists", lambda: 7) == 7
     assert rep.attempt("unpaired", "f pairs", raising(ShapeError("parts lie over different points"))) is None
@@ -316,6 +318,27 @@ def test_attempt_returns_the_value_or_records_what_was_raised():
         ("unpaired", Status.FAIL, "parts lie over different points"),
         ("refuted", Status.FAIL, "det J vanishes at (0)"),
         ("budget", Status.CANNOT_CERTIFY, "no inverse of degree at most 64"),
+    ]
+
+
+def test_check_equal_decides_what_its_builder_returns_or_raises():
+    x, xx = PolyMap(1, (v(1, 0),)), PolyMap(1, (v(1, 0) * v(1, 0),))
+    rep = Report(subject="laws")
+    assert rep.check_equal("equal pair", "f = f", lambda: (x, x)) is True
+    assert rep.check_equal("unequal pair", "f = g", lambda: (x, xx)) is False
+    assert rep.check_equal("witness", "f = g", lambda: "component 0 differs") is False
+    assert rep.check_equal("no witness", "f = g", lambda: None) is True
+    assert rep.check_equal("unpaired", "f = g", raising(ShapeError("parts lie over different points"))) is False
+    assert rep.check_equal("refuted", "f = g", raising(NotInvertible("det J vanishes at (0)"))) is False
+    assert rep.check_equal("budget", "f = g", raising(BudgetExceeded("over the term budget"))) is False
+    assert [(r.name, r.status, r.witness) for r in rep.records] == [
+        ("equal pair", Status.PASS, None),
+        ("unequal pair", Status.FAIL, "component 0: coefficient of x0^1 differs by 1"),
+        ("witness", Status.FAIL, "component 0 differs"),
+        ("no witness", Status.PASS, None),
+        ("unpaired", Status.FAIL, "parts lie over different points"),
+        ("refuted", Status.FAIL, "det J vanishes at (0)"),
+        ("budget", Status.CANNOT_CERTIFY, "over the term budget"),
     ]
 
 

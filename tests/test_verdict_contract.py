@@ -241,6 +241,39 @@ def test_an_exhausted_term_budget_is_cannot_certify(monkeypatch):
         assert "term budget" in err or named, command
 
 
+def _sweep_documents():
+    """Canonical and Christoffel connections and a K-mutant of the latter, n = 1 and 2."""
+    docs = {}
+    for n in (1, 2):
+        docs[f"canonical-{n}"] = serialize.connection_to_json(canonical_connection(n))
+        docs[f"christoffel-{n}"] = serialize.connection_to_json(INSTANCES[f"christoffel-{n}"]())
+        docs[f"K-mutant-{n}"] = _mutant(f"christoffel-{n}", "K", 1)
+    return docs
+
+
+SWEEP_DOCUMENTS = _sweep_documents()
+# Every budget up to past where each document reaches its unbudgeted exit,
+# and two far above it.
+SWEEP_BUDGETS = (*range(12), 64, 1024)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_DOCUMENTS))
+def test_every_term_budget_gives_the_unbudgeted_exit_or_cannot_certify(name, monkeypatch):
+    """At every budget each command exits as it does with none, or with 3,
+    and writes nothing to stderr: a budget met in a check is its record."""
+    doc = SWEEP_DOCUMENTS[name]
+    texts = {
+        command: serialize.dumps(doc["bundle"] if command == "verify-bundle" else doc)
+        for command in ("verify", "derive-h", "total-bundle", "verify-bundle")
+    }
+    unbudgeted = {command: _run(text, command)[0] for command, text in texts.items()}
+    for budget in SWEEP_BUDGETS:
+        monkeypatch.setattr(polycore, "TERM_BUDGET", budget)
+        for command, text in texts.items():
+            code, _, err = _run(text, command)
+            assert code in (unbudgeted[command], 3) and err == "", (command, budget, code, err)
+
+
 def test_decide_records_an_exhausted_budget_as_cannot_certify():
     def build():
         raise BudgetExceeded("over the term budget")
@@ -258,7 +291,7 @@ def test_a_summary_keeps_a_cannot_certify_sub_report():
     sub.add(CheckRecord("addition", "h = k", Status.CANNOT_CERTIFY, "over the term budget"))
     rep = Report(subject="bundle")
     assert rep.summary("axiom", "both squares", sub) is False
-    assert [(r.status, r.witness) for r in rep.records] == [(Status.CANNOT_CERTIFY, "addition")]
+    assert [(r.status, r.witness) for r in rep.records] == [(Status.CANNOT_CERTIFY, "addition (over the term budget)")]
     sub.check("zero", "z = 0", False, "component 0")
     rep.summary("axiom", "both squares", sub)
-    assert (rep.records[-1].status, rep.records[-1].witness) == (Status.FAIL, "addition; zero")
+    assert (rep.records[-1].status, rep.records[-1].witness) == (Status.FAIL, "addition (over the term budget); zero")
