@@ -42,7 +42,6 @@ from .connection import (
     christoffel_connection,
     decompose_point,
     derive_horizontal,
-    effective_decomposition,
     equivalence_suite,
     verify_connection,
 )

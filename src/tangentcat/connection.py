@@ -32,8 +32,11 @@ inversion", which ``Report.attempt`` wrote, copied under the name "pairing
 inversion"; ``equivalence_suite`` copies it in turn onto its four legs.
 Every other law, the vertical gate's first, is built inside
 ``Report.check_equal``, so a budget met there is the record's
-cannot-certify, and the records that summarise it name it through
-``Report.why``.  This module catches no exception.
+cannot-certify.  Past those two copies, a sub-report reaches its parent
+only through ``Report.extend``, which keeps each record's status, or
+``Report.summary``, which keeps the verdict and names a cannot-certify
+record's budget through ``Report.why``; so no budget becomes a fail.
+This module catches no exception.
 
 Coordinate conventions: the bundle must have its base coordinates leading, so
 E = (x, w), TE = (x, w, u, v) with u the tangent of x and v the tangent of w,
@@ -45,7 +48,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -59,7 +62,7 @@ from .polycore import (
     map_equal,
     power_pair,
 )
-from .report import Report, Status
+from .report import CheckRecord, Report, Status
 from .dbundle import (
     LINEAR_SQUARES,
     DiffBundle,
@@ -188,25 +191,22 @@ def check_horizontal(c: Connection, d: Optional[Decomposition] = None) -> Report
         lambda: (compose(c.H, section_target(b)), PolyMap.identity(hat)),
     )
     # H is linear over both partial bundles of E x_M TM = E + TM, whose
-    # concatenated model is E x_M TM itself; both squares of one partial
-    # bundle read one linearity report, built when the first is computed.
+    # concatenated model is E x_M TM itself.  A partial bundle is built
+    # only when its squares are computed, and then its linearity report's
+    # records are H's, status and witness alike, as in ``check_vertical``.
     summands = (b, tangent_bundle(b.base))
     over = (
         ("total space", PolyMap.identity(b.total.dim), tangent_bundle(b.total)),
         ("tangent base", PolyMap.identity(2 * b.base.dim), b.tangent),
     )
-    linear: dict[int, Report] = {}
-
-    def witness(fixed: int, k: int) -> Optional[str]:
-        if fixed not in linear:
-            name, f, dst = over[fixed]
+    for fixed, (name, f, dst) in enumerate(over):
+        prefix = f"linearity over the {name}: "
+        if premise is None:
             src = concatenated(summands, b.base, fixed=fixed)
-            linear[fixed] = linear_morphism_report(f"over the {name}", c.H, f, src, dst)
-        return linear[fixed].records[k].witness
-
-    for fixed, (name, _, _) in enumerate(over):
-        for k, (square, law) in enumerate(LINEAR_SQUARES):
-            rep.decide(f"linearity over the {name}: {square}", law, premise, partial(witness, fixed, k))
+            rep.extend(linear_morphism_report(f"over the {name}", c.H, f, src, dst), prefix=prefix)
+        else:
+            for square, law in LINEAR_SQUARES:
+                rep.decide(prefix + square, law, premise)
     return rep
 
 
@@ -442,17 +442,15 @@ def verify_connection(c: Connection) -> tuple[Report, Optional[Decomposition]]:
     return rep, d
 
 
-def effective_decomposition(c: Connection) -> Decomposition:
-    """The decomposition of an effective K; a ShapeError names the failing records otherwise."""
+def derive_horizontal(c: Connection) -> Connection:
+    """Recover H as the injection of the first two summands of the sum.
+
+    A ShapeError names the failing records when K is not effective.
+    """
     rep, decomp = check_effective(c)
     if decomp is None:
         raise ShapeError("horizontal derivation needs an effective vertical map: " + rep.why())
-    return decomp
-
-
-def derive_horizontal(c: Connection) -> Connection:
-    """Recover H as the injection of the first two summands of the sum."""
-    return replace(c, H=effective_decomposition(c).horizontal)
+    return replace(c, H=decomp.horizontal)
 
 
 def christoffel_connection(
@@ -519,8 +517,11 @@ def equivalence_suite(c: Connection) -> Report:
     are not.  The legs read one pass of ``verify_connection``'s checks, in
     which the pair leg's horizontal and joint identities are always
     computed: that leg is the executable form of the uniqueness of H that
-    ``verify_connection`` relies on.  For a genuine connection all legs
-    pass; for a defective K all legs must fail together.
+    ``verify_connection`` relies on.  Each leg is the ``Report.summary`` of
+    the records it reads, so a budget met in one of them leaves the leg
+    cannot-certify; a pairing inversion that did not pass is copied onto
+    all four.  For a genuine connection all legs pass; for a defective K
+    all legs must fail together.
     """
     b = c.bundle
     rep = Report(subject="equivalence of presentations")
@@ -543,24 +544,24 @@ def equivalence_suite(c: Connection) -> Report:
         # the decomposition when none is supplied.
         if decomp is not None:
             full = c if c.H is not None else replace(c, H=decomp.horizontal)
-            hor, pair = check_horizontal(full), check_pair(full)
-            rep.check(*legs[0], hor.passed and pair.passed,
-                      "; ".join(r.name for r in (*hor.failing(), *pair.failing())) or None)
+            pair = Report(subject="pair presentation")
+            pair.extend(check_horizontal(full))
+            pair.extend(check_pair(full))
+            rep.summary(*legs[0], pair)
         else:
-            rep.check(*legs[0], False, vert.why() or "no decomposition")
+            # Without a decomposition the effectiveness report did not pass.
+            rep.add(CheckRecord(*legs[0], eff_rep.verdict, vert.why() or "no decomposition"))
         # Leg 2: K is an effective vertical map.
         rep.summary(*legs[1], eff_rep)
         # Legs 3 and 4 share the structural comparisons made once the
         # pairing inverts, which it does only past the gate.
         if not vert.passed:
-            why = vert.why()
-            rep.check("sum presentation", "TE is the stated Whitney sum", False, why)
-            rep.check("product presentation", "retraction plus the stated product", False, why)
+            rep.summary("sum presentation", "TE is the stated Whitney sum", vert)
+            rep.summary("product presentation", "retraction plus the stated product", vert)
         else:
-            failures = [r for r in eff_rep.records if r.status is Status.FAIL]
-            product = [r for r in failures if r.law != _INJECTION_LAW]
-            rep.check(*legs[2], eff_rep.passed, "; ".join(r.name for r in failures) or None)
-            rep.check(*legs[3], not product, "; ".join(r.name for r in product) or None)
+            rep.summary(*legs[2], eff_rep)
+            product = [r for r in eff_rep.records if r.law != _INJECTION_LAW]
+            rep.summary(*legs[3], Report(eff_rep.subject, product))
 
     if bundle_difference(b, tangent_bundle(b.base)) is None and decomp is not None:
         rep.check_equal(

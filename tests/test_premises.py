@@ -368,6 +368,23 @@ def test_a_decomposition_of_another_K_decides_nothing():
     assert [r.name for r in pair.failing()] == ["compatibility", "decomposition of the identity"]
 
 
+def test_a_decomposition_of_another_bundle_decides_nothing():
+    """Nor is it taken from the decomposition of another bundle: the
+    canonical K and H on the tangent bundle with lambda's last component
+    doubled, given the canonical decomposition, are checked record by
+    record, and the decomposition of the identity fails."""
+    canonical = canonical_connection(1)
+    d = check_effective(canonical)[1]
+    lift = canonical.bundle.lift
+    doubled = PolyMap(lift.domain_dim, lift.components[:-1] + (lift.components[-1].scale(2),))
+    other = replace(canonical, bundle=replace(canonical.bundle, lift=doubled))
+    pair = check_pair(other, d)
+    assert {r.premise for r in pair.records} == {None}
+    assert [(r.name, r.witness) for r in pair.failing()] == [
+        ("decomposition of the identity", "component 3: coefficient of x3^1 differs by 1")
+    ]
+
+
 def test_no_output_names_a_premise(capsys):
     for fmt in ("text", "json"):
         for name in ("canonical", "christoffel", "tangent-axioms"):

@@ -12,6 +12,7 @@ import json
 import os
 import random
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,17 @@ from hypothesis import strategies as st
 
 from tangentcat import polycore, serialize
 from tangentcat.cli import main
-from tangentcat.connection import canonical_connection, christoffel_connection, derive_horizontal
+from tangentcat.connection import (
+    canonical_connection,
+    check_horizontal,
+    check_pair,
+    christoffel_connection,
+    derive_horizontal,
+    equivalence_suite,
+    verify_connection,
+)
 from tangentcat.dbundle import tangent_bundle, trivial_bundle
-from tangentcat.polycore import BudgetExceeded, Polynomial
+from tangentcat.polycore import BudgetExceeded, PolyMap, Polynomial
 from tangentcat.report import CheckRecord, Report, Status
 from tangentcat.tangent import Space
 
@@ -272,6 +281,49 @@ def test_every_term_budget_gives_the_unbudgeted_exit_or_cannot_certify(name, mon
         for command, text in texts.items():
             code, _, err = _run(text, command)
             assert code in (unbudgeted[command], 3) and err == "", (command, budget, code, err)
+
+
+def _rival_h():
+    """The canonical connection, n = 1, with H's last component x1 x2: its
+    horizontal records are computed, and some fail."""
+    c = canonical_connection(1)
+    y = [Polynomial.variable(3, i) for i in range(3)]
+    return replace(c, H=PolyMap(3, c.H.components[:3] + (y[1] * y[2],)))
+
+
+SWEEP_CONNECTIONS = {
+    "canonical-1": lambda: canonical_connection(1),
+    "canonical-2": lambda: canonical_connection(2),
+    "christoffel-1": INSTANCES["christoffel-1"],
+    "christoffel-2": INSTANCES["christoffel-2"],
+    "rival-H": _rival_h,
+}
+# Each check with the decomposition it is given: none, so that the
+# horizontal and pair records are computed rather than decided.
+SWEEP_CHECKS = {
+    "check_horizontal": check_horizontal,
+    "check_pair": check_pair,
+    "equivalence_suite": equivalence_suite,
+    "verify_connection": lambda c: verify_connection(c)[0],
+}
+
+
+def _failing_records(c):
+    return {(check, r.name) for check, run in SWEEP_CHECKS.items() for r in run(c).records if r.status is Status.FAIL}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CONNECTIONS))
+def test_no_record_fails_only_under_a_term_budget(name, monkeypatch):
+    """A budget met in a check leaves a record cannot-certify, never failed:
+    at every budget each failing record also fails at the default one."""
+    build = SWEEP_CONNECTIONS[name]
+    refuted = _failing_records(build())
+    for budget in SWEEP_BUDGETS:
+        c = build()
+        with monkeypatch.context() as m:
+            m.setattr(polycore, "TERM_BUDGET", budget)
+            failing = _failing_records(c)
+        assert failing <= refuted, (budget, failing - refuted)
 
 
 def test_decide_records_an_exhausted_budget_as_cannot_certify():
