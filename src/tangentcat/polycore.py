@@ -77,10 +77,11 @@ def _value(terms: Iterable[Term], point: Sequence[Fraction]) -> Fraction:
     return total
 
 
-# The term budget: the most term products one multiplication may form.  A
-# product beyond it raises ``BudgetExceeded``; the engine's checks record
-# that as cannot-certify.  The largest product any test or benchmark
-# document forms is below 10,000.
+# The term budget: the most term products one multiplication may form, and
+# the highest exponent a substitution raises an argument to (a power x^e is
+# a chain of e - 1 products).  A product or a power beyond it raises
+# ``BudgetExceeded``; the engine's checks record that as cannot-certify.
+# The largest product any test or benchmark document forms is below 10,000.
 TERM_BUDGET = 1 << 15
 
 
@@ -209,7 +210,7 @@ class Polynomial:
         for a in args:
             if a.arity != new_arity:
                 raise ShapeError("substitution arguments have mixed arities")
-        return _substitute_all((self,), args, new_arity, _variable_indices(args))[0]
+        return _substitute_all((self,), args, new_arity)[0]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -227,7 +228,7 @@ class Polynomial:
 
 
 def _substitute_all(
-    polys: Sequence[Polynomial], args: Sequence[Polynomial], new_arity: int, idx: Optional[tuple[int, ...]]
+    polys: Sequence[Polynomial], args: Sequence[Polynomial], new_arity: int
 ) -> tuple[Polynomial, ...]:
     """Substitute ``args`` into each of ``polys``, whose arity is ``len(args)``.
 
@@ -241,9 +242,12 @@ def _substitute_all(
     ``idx`` holds their indices and the substitution is a reindexing of
     exponents; otherwise ``idx`` is None and the powers of
     each argument are computed once for all of ``polys`` and the products of
-    each polynomial's terms accumulate into one dict.  Nothing is validated:
+    each polynomial's terms accumulate into one dict.  A power x^e is a
+    chain of e - 1 products, so an exponent above ``TERM_BUDGET`` raises
+    ``BudgetExceeded`` before its chain is built.  Nothing is validated:
     the callers check shapes, and canonical inputs give canonical results.
     """
+    idx = _variable_indices(args)
     out = []
     one = (((0,) * new_arity, 1),)
     powers = [[one, a.terms] for a in args]  # powers[i][e] = args[i]^e
@@ -271,6 +275,8 @@ def _substitute_all(
                     if e:
                         pw = powers[i]
                         while len(pw) <= e:
+                            if e > TERM_BUDGET:
+                                raise BudgetExceeded(f"a power of exponent {e} exceeds the term budget ({TERM_BUDGET})")
                             pw.append(tuple(_mul_terms(pw[-1], pw[1]).items()))
                         term = pw[e] if term is None else tuple(_mul_terms(term, pw[e]).items())
                 for k, c in one if term is None else term:
@@ -323,12 +329,12 @@ class PolyMap:
 def compose(g: PolyMap, f: PolyMap) -> PolyMap:
     """Diagrammatic composite: apply g first, then f.
 
-    When f is a coordinate selection the composite is g's components picked
-    by index.  Otherwise all of f's components go through one
-    ``_substitute_all`` call: a zero component of f gives zero and a bare
-    variable x_i gives g's i-th component itself, with no arithmetic; the
-    rest are reindexed when g is a selection and else share the powers of
-    g's components among them.
+    All of f's components go through one ``_substitute_all`` call: a zero
+    component of f gives zero and a bare variable x_i gives g's i-th
+    component itself, with no arithmetic, so when f is a coordinate
+    selection the composite is g's components picked by index.  The rest
+    are reindexed when g is a selection and else share the powers of g's
+    components among them.
     Only the shapes are checked: canonical inputs give a canonical result.
     """
     if g.codomain_dim != f.domain_dim:
@@ -336,10 +342,7 @@ def compose(g: PolyMap, f: PolyMap) -> PolyMap:
             f"cannot compose: first map lands in dim {g.codomain_dim}, "
             f"second expects dim {f.domain_dim}"
         )
-    idx = f.selected
-    if idx is not None:
-        return PolyMap(g.domain_dim, tuple(g.components[i] for i in idx))
-    return PolyMap(g.domain_dim, _substitute_all(f.components, g.components, g.domain_dim, g.selected))
+    return PolyMap(g.domain_dim, _substitute_all(f.components, g.components, g.domain_dim))
 
 
 def compose_all(*maps: PolyMap) -> PolyMap:

@@ -114,10 +114,10 @@ class Report:
         return False
 
     def extend(self, other: "Report", prefix: str = "") -> None:
-        if not prefix:
-            # records are frozen, so both reports can hold the same ones
-            self.records.extend(other.records)
-            return
+        """Append a copy of each of ``other``'s records, its name prefixed by ``prefix``.
+
+        The copies keep each record's status, witness and premise.
+        """
         for r in other.records:
             self.add(CheckRecord(prefix + r.name, r.law, r.status, r.witness, r.premise))
 

@@ -83,20 +83,14 @@ def poly_from_json(obj: Any, where: str = "polynomial") -> Polynomial:
         raise SerializationError(f"{where}: terms must be a list")
     terms: dict = {}
     for i, t in enumerate(listed):
-        # every message starts with the location passed; the term's own
-        # location is formatted only when one is raised
-        try:
-            exps = _expect(t, "exps", where)
-            if (
-                not isinstance(exps, list)
-                or len(exps) != arity
-                or any(not _natural(e) for e in exps)
-            ):
-                raise SerializationError(f"{where}: exps must be {arity} natural numbers")
-            coeff = fraction_from_str(_expect(t, "coeff", where), where)
-        except SerializationError as exc:
-            spot = f"{where}.terms[{i}]"
-            raise SerializationError(spot + str(exc)[len(where):]) from exc.__cause__
+        exps = _expect(t, "exps", f"{where}.terms[{i}]")
+        if (
+            not isinstance(exps, list)
+            or len(exps) != arity
+            or any(not _natural(e) for e in exps)
+        ):
+            raise SerializationError(f"{where}.terms[{i}]: exps must be {arity} natural numbers")
+        coeff = fraction_from_str(_expect(t, "coeff", f"{where}.terms[{i}]"), f"{where}.terms[{i}]")
         key = tuple(exps)
         terms[key] = terms[key] + coeff if key in terms else coeff
     return Polynomial.from_terms(arity, terms)

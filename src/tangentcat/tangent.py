@@ -77,13 +77,11 @@ def T_map(f: PolyMap) -> PolyMap:
     term c x^e of f_i to the terms (c e_j) x^(e - 1_j) t_j; distinct
     (term, j) pairs give distinct monomials, so these only need sorting.
     Nothing is substituted or validated: f is canonical, so the result is.
-    T of a coordinate selection selects the same coordinates of both blocks;
-    in any other map a bare component x_i gives x_i and t_i, and a zero
-    component gives two zeros, without either computation.
+    A bare component x_i gives the variables x_i and t_i, and a zero
+    component gives two zeros, without either computation; so T of a
+    coordinate selection selects the same coordinates of both blocks.
     """
-    m, idx = f.domain_dim, f.selected
-    if idx is not None:
-        return PolyMap.selection(2 * m, idx + tuple(m + i for i in idx))
+    m = f.domain_dim
     pad = (0,) * m
     t = [pad[:j] + (1,) + pad[j + 1 :] for j in range(m)]
     base, tangent = [], []

@@ -165,6 +165,8 @@ def test_compose_shares_the_components_that_bare_variables_pick():
     assert out.components[0] is g.components[1] and out.components[4] is g.components[1]
     assert out.components[3] is g.components[0]
     assert out.components[2] == Polynomial.zero(2)
+    picked = compose(g, PolyMap.selection(2, (1, 0, 1)))
+    assert picked.codomain_dim == 3 and all(p is g.components[i] for p, i in zip(picked.components, (1, 0, 1)))
 
 
 def test_compose_shape_error():

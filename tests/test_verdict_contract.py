@@ -11,6 +11,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -248,6 +250,24 @@ def test_an_exhausted_term_budget_is_cannot_certify(monkeypatch):
         records = json.loads(out).get("checks", []) if out else []
         named = [r for r in records if r["status"] == "cannot-certify" and "term budget" in r.get("witness", "")]
         assert "term budget" in err or named, command
+
+
+def test_an_exponent_above_the_term_budget_is_cannot_certify_at_once(tmp_path):
+    """x0^(10^9) added to K's w component: the power chain is refused before
+    it is built, so verify exits 3 within seconds, naming the budget.  It
+    runs in a child process so that a chain that is built fails the test by
+    its timeout rather than stalling the suite."""
+    doc = serialize.connection_to_json(canonical_connection(1))
+    doc["K"]["components"][1]["terms"].append({"coeff": "1", "exps": [10**9, 0, 0, 0]})
+    path = tmp_path / "doc.json"
+    path.write_text(serialize.dumps(doc), encoding="utf-8")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "tangentcat.cli", "--format", "json", "verify", str(path)],
+        capture_output=True, text=True, timeout=5, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stderr) == (3, "")
+    assert "a power of exponent 1000000000 exceeds the term budget" in done.stdout
 
 
 def _sweep_documents():
