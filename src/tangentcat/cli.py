@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from functools import cache
 from typing import Optional
 
@@ -137,7 +136,7 @@ def cmd_derive_h(args) -> int:
         report.add(CheckRecord("derivation", "an effective vertical map determines H", eff.verdict, why))
         _emit(report, args.format)
         return _exit_code(report)
-    full = replace(c, H=d.horizontal)
+    full = c.replace(H=d.horizontal)
     out = _sidecar(args.path, "h")
     _atomic_write(out, serialize.dumps(serialize.map_to_json(full.H)))
     report = check_horizontal(full, d)

@@ -47,7 +47,6 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -56,6 +55,7 @@ from .polycore import (
     PolyMap,
     Polynomial,
     ShapeError,
+    Value,
     compose,
     compose_all,
     eval_map,
@@ -82,8 +82,7 @@ from .whitney import (
 )
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(Value):
     """A bundle with a vertical map K and optionally a horizontal map H.
 
     K alone determines the connection: an effective K determines H (see
@@ -91,11 +90,10 @@ class Connection:
     are the coordinates of K, so no coefficient table is kept beside it.
     """
 
-    bundle: DiffBundle
-    K: PolyMap
-    H: Optional[PolyMap] = None
+    _fields = ("bundle", "K", "H")
 
-    def __post_init__(self) -> None:
+    def __init__(self, bundle: DiffBundle, K: PolyMap, H: Optional[PolyMap] = None) -> None:
+        self.__dict__.update(bundle=bundle, K=K, H=H)
         e, m = self.bundle.total.dim, self.bundle.base.dim
         if self.bundle.base_coords != tuple(range(m)):
             raise ShapeError("connection checks need base-first coordinates")
@@ -107,8 +105,7 @@ class Connection:
             raise ShapeError("H must map the horizontal product into the tangent space")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Value):
     """TE presented as a three-summand Whitney sum through an invertible pairing.
 
     The pairing theta = <p_E, T(q), K> : TE -> E x_M TM x_M E is the
@@ -116,7 +113,10 @@ class Decomposition:
     ``biproduct.to_canonical``; theta^-1 is ``biproduct.from_canonical``.
     """
 
-    biproduct: BiproductBundle
+    _fields = ("biproduct",)
+
+    def __init__(self, biproduct: BiproductBundle) -> None:
+        self.__dict__.update(biproduct=biproduct)
 
     @property
     def total(self) -> DiffBundle:
@@ -323,7 +323,7 @@ def _effectiveness(c: Connection, vert: Report) -> tuple[Report, Optional[Decomp
     recog, bp = recognize_biproduct(T_obj(b.total), projections, summands)
     refuted = next((r for r in recog.records if r.name == "comparison inversion"), None)
     if refuted is not None:
-        rep.add(replace(refuted, name="pairing inversion", law="the three-way pairing has a two-sided polynomial inverse"))
+        rep.add(refuted.replace(name="pairing inversion", law="the three-way pairing has a two-sided polynomial inverse"))
         return rep, None
     rep.check("pairing inversion", "two-sided polynomial inverse found", True, None)
     rep.extend(recog, prefix="Whitney sum: ")
@@ -436,7 +436,7 @@ def verify_connection(c: Connection) -> tuple[Report, Optional[Decomposition]]:
     rep.extend(vert, prefix="vertical: ")
     rep.extend(eff, prefix="effectiveness: ")
     if d is not None:
-        full = c if c.H is not None else replace(c, H=d.horizontal)
+        full = c if c.H is not None else c.replace(H=d.horizontal)
         rep.extend(check_horizontal(full, d), prefix="horizontal: ")
         rep.extend(check_pair(full, d), prefix="pair: ")
     return rep, d
@@ -450,7 +450,7 @@ def derive_horizontal(c: Connection) -> Connection:
     rep, decomp = check_effective(c)
     if decomp is None:
         raise ShapeError("horizontal derivation needs an effective vertical map: " + rep.why())
-    return replace(c, H=decomp.horizontal)
+    return c.replace(H=decomp.horizontal)
 
 
 def christoffel_connection(
@@ -538,12 +538,12 @@ def equivalence_suite(c: Connection) -> Report:
         # Every leg needs the inverse of theta: each carries its refutation,
         # or the exhausted budget.
         for name, law in legs:
-            rep.add(replace(inversion, name=name, law=law))
+            rep.add(inversion.replace(name=name, law=law))
     else:
         # Leg 1: some H makes (K, H) a full connection pair, with H read off
         # the decomposition when none is supplied.
         if decomp is not None:
-            full = c if c.H is not None else replace(c, H=decomp.horizontal)
+            full = c if c.H is not None else c.replace(H=decomp.horizontal)
             pair = Report(subject="pair presentation")
             pair.extend(check_horizontal(full))
             pair.extend(check_pair(full))

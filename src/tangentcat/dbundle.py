@@ -35,7 +35,6 @@ this module catches nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Optional
 
@@ -43,6 +42,7 @@ from .polycore import (
     PolyMap,
     Polynomial,
     ShapeError,
+    Value,
     compose,
     compose_all,
     first_difference,
@@ -56,8 +56,7 @@ from .report import Report
 from .tangent import Space, T_map, T_obj, flip_c, lift_l, zero_0
 
 
-@dataclass(frozen=True)
-class DiffBundle:
+class DiffBundle(Value):
     """A differential bundle (E, q, sigma, zeta, lambda) in standard position.
 
     ``sigma`` has the canonical fibre-square of (total, base_coords) as its
@@ -66,14 +65,12 @@ class DiffBundle:
     built on first use and kept by this object only.
     """
 
-    total: Space
-    base: Space
-    base_coords: tuple[int, ...]
-    sigma: PolyMap
-    zeta: PolyMap
-    lift: PolyMap
+    _fields = ("total", "base", "base_coords", "sigma", "zeta", "lift")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, total: Space, base: Space, base_coords: tuple[int, ...], sigma: PolyMap, zeta: PolyMap, lift: PolyMap
+    ) -> None:
+        self.__dict__.update(total=total, base=base, base_coords=base_coords, sigma=sigma, zeta=zeta, lift=lift)
         e, m = self.total.dim, self.base.dim
         if len(self.base_coords) != m:
             raise ShapeError("base_coords length != base dimension")
@@ -164,7 +161,7 @@ def tangent_bundle(s: Space) -> DiffBundle:
     It is the trivial bundle M x R^n on TM, whose sigma, zeta and lift are
     ``add_plus``, ``zero_0`` and ``lift_l``.
     """
-    return replace(trivial_bundle(s, s.dim), total=T_obj(s))
+    return trivial_bundle(s, s.dim).replace(total=T_obj(s))
 
 
 def additive_morphism_report(

@@ -15,12 +15,11 @@ Composition is written diagrammatically throughout: ``compose(g, f)`` means
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, takewhile
-from operator import add
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import add, attrgetter
+from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
 Exponent = tuple[int, ...]
 Term = tuple[Exponent, int | Fraction]
@@ -114,12 +113,78 @@ def _mul_terms(a: Sequence[Term], b: Sequence[Term]) -> dict[Exponent, int | Fra
     return acc
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """An exact polynomial in ``arity`` variables, in canonical form."""
+_set = object.__setattr__
+V = TypeVar("V", bound="Value")
 
-    arity: int
-    terms: tuple[Term, ...]
+
+class Value:
+    """The base of the engine's immutable values, from polynomials to connections.
+
+    A subclass names its fields in ``_fields``, in the order of its
+    ``__init__``'s parameters; the ``__init__`` writes them past
+    ``__setattr__`` and checks them.  Two values are equal when they are of
+    one class and their ``_compared`` fields (by default all) are equal; the
+    hash is that of the compared fields' tuple, and ``repr`` is
+    ``Name(field=value, ...)`` over ``_fields``.  Assigning or deleting an
+    attribute raises ``AttributeError``.  ``replace``, copies and pickles
+    rebuild through ``__init__``, so what they build is checked too.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # An attrgetter is no descriptor: self._key is the getter itself.
+        names = cls.__dict__.get("_compared", cls._fields)
+        get = attrgetter(*names)
+        cls._key = get if len(names) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def replace(self: V, **changes: object) -> V:
+        """A copy with the named fields changed, built and checked by ``__init__``."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+
+class Polynomial(Value):
+    """An exact polynomial in ``arity`` variables, in canonical form.
+
+    ``bare`` is the index i when it is the variable x_i with coefficient 1,
+    else None.
+    """
+
+    __slots__ = ("arity", "terms", "bare")
+    _fields = ("arity", "terms")
+
+    def __init__(self, arity: int, terms: tuple[Term, ...]) -> None:
+        _set(self, "arity", arity)
+        _set(self, "terms", terms)
+        bare = None
+        if len(terms) == 1:
+            exps, coeff = terms[0]
+            if coeff == 1 and sum(exps) == 1:
+                bare = exps.index(1)
+        _set(self, "bare", bare)
 
     @staticmethod
     def from_terms(arity: int, terms: Mapping[Exponent, Fraction | int]) -> "Polynomial":
@@ -142,15 +207,6 @@ class Polynomial:
         exps = [0] * arity
         exps[index] = 1
         return Polynomial(arity, ((tuple(exps), 1),))
-
-    @cached_property
-    def bare(self) -> Optional[int]:
-        """The index i when this polynomial is the variable x_i with coefficient 1, else None."""
-        if len(self.terms) == 1:
-            exps, coeff = self.terms[0]
-            if coeff == 1 and sum(exps) == 1:
-                return exps.index(1)
-        return None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -286,14 +342,13 @@ def _substitute_all(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(Value):
     """A polynomial map between Cartesian spaces: one component per output."""
 
-    domain_dim: int
-    components: tuple[Polynomial, ...]
+    _fields = ("domain_dim", "components")
 
-    def __post_init__(self) -> None:
+    def __init__(self, domain_dim: int, components: tuple[Polynomial, ...]) -> None:
+        self.__dict__.update(domain_dim=domain_dim, components=components)
         for c in self.components:
             if c.arity != self.domain_dim:
                 raise ShapeError(

@@ -15,11 +15,10 @@ by the budget still names the budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, TypeVar, Union
 
-from .polycore import BudgetExceeded, NotInvertible, PolyMap, ShapeError, first_difference, map_equal
+from .polycore import BudgetExceeded, NotInvertible, PolyMap, ShapeError, Value, first_difference, map_equal
 
 T = TypeVar("T")
 
@@ -36,22 +35,35 @@ class Status(str, Enum):
     CANNOT_CERTIFY = "cannot-certify"
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    law: str  # the identity or axiom the record tests, e.g. "lambda K = 1"
-    status: Status
-    witness: Optional[str] = None
-    # what decided a pass without its composites (``Report.decide``); not output
-    premise: Optional[str] = field(default=None, compare=False)
+class CheckRecord(Value):
+    """One law's outcome; ``premise`` is neither compared nor hashed."""
+
+    _fields = ("name", "law", "status", "witness", "premise")
+    _compared = _fields[:4]
+
+    def __init__(
+        self,
+        name: str,
+        law: str,  # the identity or axiom the record tests, e.g. "lambda K = 1"
+        status: Status,
+        witness: Optional[str] = None,
+        # what decided a pass without its composites (``Report.decide``); not output
+        premise: Optional[str] = None,
+    ) -> None:
+        self.__dict__.update(name=name, law=law, status=status, witness=witness, premise=premise)
 
 
-@dataclass
-class Report:
-    """An ordered list of check records about one subject."""
+class Report(Value):
+    """An ordered list of check records about one subject; mutable and unhashable."""
 
-    subject: str
-    records: list[CheckRecord] = field(default_factory=list)
+    _fields = ("subject", "records")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, subject: str, records: Optional[list[CheckRecord]] = None) -> None:
+        self.subject = subject
+        self.records = [] if records is None else records
 
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)

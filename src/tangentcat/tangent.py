@@ -14,23 +14,21 @@ has layout (x, t_1, ..., t_k): ``polycore.power_proj`` with ``(2n, range(n))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import PolyMap, Polynomial, ShapeError, _sorted_terms
+from .polycore import PolyMap, Polynomial, ShapeError, Value, _sorted_terms
 
 _NAME_POOL = "tuvwabcdefghijklmnopqrsyz"
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Value):
     """A Cartesian space R^n with named coordinate blocks."""
 
-    dim: int
-    layout: tuple[tuple[str, int], ...]
+    _fields = ("dim", "layout")
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, layout: tuple[tuple[str, int], ...]) -> None:
+        self.__dict__.update(dim=dim, layout=layout)
         if any(size <= 0 for _, size in self.layout):
             raise ShapeError("block sizes must be positive")
         if sum(size for _, size in self.layout) != self.dim:

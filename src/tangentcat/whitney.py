@@ -28,7 +28,6 @@ an exhausted budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -36,6 +35,7 @@ from .polycore import (
     PolyMap,
     Polynomial,
     ShapeError,
+    Value,
     compose,
     invert_polymap,
 )
@@ -65,8 +65,7 @@ def _positions(summands: Sequence[DiffBundle], m: int, i: int) -> list[int]:
     return pos
 
 
-@dataclass(frozen=True)
-class BiproductBundle:
+class BiproductBundle(Value):
     """A Whitney sum with its projections, injections, and summand list.
 
     ``model`` is the concatenated model of the summands and ``total`` the
@@ -75,13 +74,27 @@ class BiproductBundle:
     :func:`biproduct`.
     """
 
-    model: DiffBundle
-    total: Space
-    summands: tuple[DiffBundle, ...]
-    projections: tuple[PolyMap, ...]
-    injections: tuple[PolyMap, ...]
-    to_canonical: PolyMap
-    from_canonical: PolyMap
+    _fields = ("model", "total", "summands", "projections", "injections", "to_canonical", "from_canonical")
+
+    def __init__(
+        self,
+        model: DiffBundle,
+        total: Space,
+        summands: tuple[DiffBundle, ...],
+        projections: tuple[PolyMap, ...],
+        injections: tuple[PolyMap, ...],
+        to_canonical: PolyMap,
+        from_canonical: PolyMap,
+    ) -> None:
+        self.__dict__.update(
+            model=model,
+            total=total,
+            summands=summands,
+            projections=projections,
+            injections=injections,
+            to_canonical=to_canonical,
+            from_canonical=from_canonical,
+        )
 
     @cached_property
     def sum(self) -> DiffBundle:

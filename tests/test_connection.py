@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -140,7 +139,7 @@ def test_canonical_pair_passes():
 
 def test_pair_without_H_fails_its_presence_record():
     c = canonical_connection(1)
-    report = check_pair(replace(c, H=None))
+    report = check_pair(c.replace(H=None))
     assert [(r.name, r.status, r.witness) for r in report.records] == [("presence", Status.FAIL, "no H given")]
 
 
@@ -228,7 +227,7 @@ def _perturbed_connection(c, rng):
     moved = PolyMap(dom, tuple(comps))
     if field == "K":
         return Connection(bundle=b, K=moved)
-    return Connection(bundle=replace(b, **{field: moved}), K=c.K)
+    return Connection(bundle=b.replace(**{field: moved}), K=c.K)
 
 
 SWEEP_MODELS = {
@@ -348,7 +347,7 @@ def _perturbed_block(c, block, rng):
     if rng.random() < 0.5:
         term = term * x(dom, rng.randrange(dom))
     comps[k] = comps[k] + term.scale(rng.choice((-2, -1, Fraction(1, 2), 1, 3)))
-    return replace(c, H=PolyMap(dom, tuple(comps)))
+    return c.replace(H=PolyMap(dom, tuple(comps)))
 
 
 def _christoffel_family(n, degree):
@@ -370,13 +369,12 @@ FORCED_MODELS = {
         for d in (0, 1, 2)
     },
     **{
-        f"canonical n={n}": (lambda n=n: (canonical_connection(n), replace(canonical_connection(n), H=None)))
+        f"canonical n={n}": (lambda n=n: (canonical_connection(n), canonical_connection(n).replace(H=None)))
         for n in (1, 2, 3)
     },
     # the rival horizontal map of test_rival_horizontal_fails_pair_with_wrong_K
     "rival": lambda: (
-        replace(
-            canonical_connection(1),
+        canonical_connection(1).replace(
             H=PolyMap.from_components(3, [x(3, 0), x(3, 1), x(3, 2), x(3, 1) * x(3, 2)]),
         ),
     ),
@@ -393,7 +391,7 @@ def test_forced_horizontal_records_equal_the_computed_ones(name):
         report, decomp = verify_connection(c)
         assert decomp is not None
         derived = decomp.horizontal
-        full = c if c.H is not None else replace(c, H=derived)
+        full = c if c.H is not None else c.replace(H=derived)
         expected = Report(subject="connection gate")
         expected.extend(check_vertical(c), prefix="vertical: ")
         expected.extend(check_effective(c)[0], prefix="effectiveness: ")

@@ -5,7 +5,6 @@ import io
 import json
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -75,7 +74,7 @@ def test_tangent_is_built_once_per_bundle():
     t = b.tangent
     assert bundle_difference(t, tangent_of_bundle(b)) is None
     assert b.tangent is t
-    other = replace(b)
+    other = b.replace()
     assert other == b
     assert other.tangent is not t
     assert bundle_difference(other.tangent, t) is None
@@ -193,7 +192,7 @@ def _perturbed(b, rng):
     k = rng.randrange(len(comps))
     y = x(m.domain_dim, rng.randrange(m.domain_dim))
     comps[k] = comps[k] + (y * y).scale(rng.choice((-2, -1, Fraction(1, 2), 1, 3)))
-    return replace(b, **{field: PolyMap(m.domain_dim, tuple(comps))})
+    return b.replace(**{field: PolyMap(m.domain_dim, tuple(comps))})
 
 
 def _fibre_shear(b, rng):
@@ -279,7 +278,7 @@ def _sigma_moving_the_base_point():
     sigma = PolyMap(5, (s.components[0] + (w * w).scale(3),) + s.components[1:])
     x0, x1, x2 = (x(3, i) for i in range(3))
     psi = PolyMap(3, (x0, (x1 + x0 + x0 * x0).scale(3), x2.scale(2) - x1 - x0.scale(2) - (x0 * x0).scale(2)))
-    return transport_bundle(replace(b, sigma=sigma), psi, invert_polymap(psi), b.total)
+    return transport_bundle(b.replace(sigma=sigma), psi, invert_polymap(psi), b.total)
 
 
 def _lift_off_the_base_point():
@@ -289,7 +288,7 @@ def _lift_off_the_base_point():
     lift = PolyMap(3, (x(3, 0) - x(3, 2) * x(3, 2),) + b.lift.components[1:])
     x0, x1, x2 = (x(3, i) for i in range(3))
     psi = PolyMap(3, (x0, -x1 - x0 * x0, x2.scale(Fraction(1, 2)) - (x0 * x1).scale(2) + x0 * x0))
-    return transport_bundle(replace(b, lift=lift), psi, invert_polymap(psi), b.total)
+    return transport_bundle(b.replace(lift=lift), psi, invert_polymap(psi), b.total)
 
 
 BLOW_UPS = {
@@ -363,9 +362,9 @@ def test_adds_fibrewise_reads_sigma_and_zeta():
     assert tm.adds_fibrewise and tm.tangent.adds_fibrewise
     assert biproduct([tm, trivial_bundle(Space.euclidean(2), 1)]).model.adds_fibrewise
     sigma = PolyMap(6, tm.sigma.components[:2] + (tm.sigma.components[2] + x(6, 0) * x(6, 0),) + tm.sigma.components[3:])
-    assert not replace(tm, sigma=sigma).adds_fibrewise
+    assert not tm.replace(sigma=sigma).adds_fibrewise
     zeta = PolyMap(2, tm.zeta.components[:3] + (x(2, 1),))
-    assert not replace(tm, zeta=zeta).adds_fibrewise
+    assert not tm.replace(zeta=zeta).adds_fibrewise
 
 
 def _additive_cases(b):

@@ -10,7 +10,6 @@ its order shows here.
 
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -260,7 +259,7 @@ def _sweep_bundles(count=100, seed=1):
         coeff = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 1, 2)))
         comps = list(m.components)
         comps[k] = comps[k] + Polynomial.from_terms(m.domain_dim, {tuple(exps): coeff})
-        out.append(replace(b, **{field: PolyMap(m.domain_dim, tuple(comps))}))
+        out.append(b.replace(**{field: PolyMap(m.domain_dim, tuple(comps))}))
     return out
 
 

@@ -1,5 +1,7 @@
 """Ring laws, composition coherence, and solver behavior for the polynomial core."""
 
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -26,7 +28,10 @@ from tangentcat.polycore import (
     _triangular_inverse,
 )
 
-from tangentcat.report import Report, Status
+from tangentcat import canonical_connection, check_effective
+from tangentcat.dbundle import tangent_bundle
+from tangentcat.report import CheckRecord, Report, Status
+from tangentcat.tangent import Space
 
 from conftest import grid_points, polymaps, polynomials, rational_points
 
@@ -527,3 +532,53 @@ def test_inversion_is_two_sided_whenever_found(f):
     assert compose(inv, f) == PolyMap.identity(3)
     for pt in grid_points(3):
         assert eval_map(inv, list(eval_map(f, pt))) == tuple(pt)
+
+
+# ---------------------------------------------------------------- value classes
+
+
+def test_value_classes_compare_hash_show_and_replace_by_their_fields():
+    p = Polynomial.from_terms(2, {(1, 0): 1, (0, 2): Fraction(1, 2)})
+    f = PolyMap(2, (p, v(2, 1)))
+    # equal only within one class: same field values, different classes
+    assert Polynomial(2, ()) != PolyMap(2, ())
+    assert p == Polynomial(2, p.terms) and hash(p) == hash((2, p.terms))
+    # the premise is neither compared nor hashed
+    a = CheckRecord("n", "law", Status.PASS, premise="a premise")
+    b = CheckRecord("n", "law", Status.PASS)
+    assert a == b and hash(a) == hash(b) == hash(("n", "law", Status.PASS, None))
+    assert a.replace(name="m").premise == "a premise"
+    for obj, name in ((p, "terms"), (p, "bare"), (f, "components"), (a, "premise")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    # a Report stays mutable and unhashable, with a new list per report
+    rep = Report("s")
+    rep.subject = "t"
+    assert rep.records == [] and rep.records is not Report("s").records
+    with pytest.raises(TypeError):
+        hash(rep)
+    # equal spaces hash alike, so the cached tangent bundle is found again
+    assert tangent_bundle(Space.euclidean(2)) is tangent_bundle(Space.euclidean(2))
+    c = canonical_connection(1)
+    assert c.bundle.tangent is c.bundle.tangent
+    d = check_effective(c)[1]
+    assert d.horizontal is d.horizontal and hash(d) == hash((d.biproduct,))
+    # replace rebuilds through __init__, so its checks run again
+    with pytest.raises(ShapeError):
+        c.replace(H=PolyMap.identity(3))
+    with pytest.raises(ShapeError):
+        c.bundle.replace(base_coords=(5,))
+    assert c.replace() == c and c.replace(H=None).H is None
+    # copies and pickles rebuild through __init__ too
+    assert copy.deepcopy(p) == p and copy.deepcopy(p).bare is None
+    assert pickle.loads(pickle.dumps(c)) == c and copy.copy(a).premise == "a premise"
+    # repr is Name(field=value!r, ...): the det J sample seeds from it
+    assert repr(p) == "Polynomial(arity=2, terms=(((1, 0), 1), ((0, 2), Fraction(1, 2))))"
+    assert repr(f) == (
+        "PolyMap(domain_dim=2, components=(Polynomial(arity=2, terms=(((1, 0), 1), ((0, 2), Fraction(1, 2)))), "
+        "Polynomial(arity=2, terms=(((0, 1), 1),))))"
+    )
+    assert repr(a).startswith("CheckRecord(name='n', law='law', status=")
+    assert repr(a).endswith(", witness=None, premise='a premise')")

@@ -15,7 +15,6 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -168,8 +167,8 @@ def perturbed(c, field, rng):
     comps[k] = comps[k] + term.scale(rng.choice((-2, -1, Fraction(1, 2), 1, 3)))
     moved = PolyMap(dom, tuple(comps))
     if field in ("K", "H"):
-        return replace(c, **{field: moved})
-    return replace(c, bundle=replace(b, **{"lift" if field == "lambda" else field: moved}))
+        return c.replace(**{field: moved})
+    return c.replace(bundle=b.replace(**{"lift" if field == "lambda" else field: moved}))
 
 
 def christoffel_1(rng):
@@ -270,10 +269,10 @@ def bundle_perturbations():
             s, z = b.sigma, b.zeta
             for k in range(b.base.dim, s.domain_dim):
                 sigma = PolyMap(s.domain_dim, (s.components[0] + x(s.domain_dim, k),) + s.components[1:])
-                yield "sigma", replace(full, bundle=replace(b, sigma=sigma))
+                yield "sigma", full.replace(bundle=b.replace(sigma=sigma))
             for shift in (1, Fraction(-1, 2)):
                 zeta = PolyMap(z.domain_dim, (z.components[0] + Polynomial.constant(z.domain_dim, shift),) + z.components[1:])
-                yield "zeta", replace(full, bundle=replace(b, zeta=zeta))
+                yield "zeta", full.replace(bundle=b.replace(zeta=zeta))
 
 
 def test_bundles_off_their_base_give_the_bytes_of_the_computed_partial_bundles(monkeypatch):
@@ -361,7 +360,7 @@ def test_a_decomposition_of_another_K_decides_nothing():
     decomposition, is checked record by record and fails."""
     canonical = canonical_connection(1)
     d = verify_connection(canonical)[1]
-    other = replace(canonical, K=pinned._christoffel().K)
+    other = canonical.replace(K=pinned._christoffel().K)
     assert map_equal(other.H, d.horizontal)
     pair, horizontal = check_pair(other, d), check_horizontal(other, d)
     assert {r.premise for r in (*pair.records, *horizontal.records)} == {None}
@@ -377,7 +376,7 @@ def test_a_decomposition_of_another_bundle_decides_nothing():
     d = check_effective(canonical)[1]
     lift = canonical.bundle.lift
     doubled = PolyMap(lift.domain_dim, lift.components[:-1] + (lift.components[-1].scale(2),))
-    other = replace(canonical, bundle=replace(canonical.bundle, lift=doubled))
+    other = canonical.replace(bundle=canonical.bundle.replace(lift=doubled))
     pair = check_pair(other, d)
     assert {r.premise for r in pair.records} == {None}
     assert [(r.name, r.witness) for r in pair.failing()] == [

@@ -14,7 +14,6 @@ import random
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -308,7 +307,7 @@ def _rival_h():
     horizontal records are computed, and some fail."""
     c = canonical_connection(1)
     y = [Polynomial.variable(3, i) for i in range(3)]
-    return replace(c, H=PolyMap(3, c.H.components[:3] + (y[1] * y[2],)))
+    return c.replace(H=PolyMap(3, c.H.components[:3] + (y[1] * y[2],)))
 
 
 SWEEP_CONNECTIONS = {

@@ -1,6 +1,5 @@
 """Hom-monoid laws, Whitney sums, recognition, and partial bundles."""
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -184,7 +183,7 @@ def test_a_refuted_map_is_decided_once(monkeypatch):
     tv = trivial_bundle(Space.euclidean(1), 1)
     w = x(2, 1)
     # the dw slot of the lift is w + 3w^2: mu has det J = 1 + 6w
-    mutant = replace(tv, lift=PolyMap(2, tv.lift.components[:3] + (w + (w * w).scale(3),)))
+    mutant = tv.replace(lift=PolyMap(2, tv.lift.components[:3] + (w + (w * w).scale(3),)))
     checks = {r.name: r for r in verify_bundle(mutant).records}
     assert checks["axiom 4: shear inversion"].status is Status.FAIL
     assert len(calls) == 1
@@ -405,7 +404,7 @@ def _presented(summands):
         3, [v[0], v[1].scale(-1) - v[0] * v[0], (v[2] - v[0] + v[1] + v[0] * v[0]).scale(Fraction(1, 2))]
     )
     assert map_equal(compose(psi, psi_inv), PolyMap.identity(3))
-    return replace(bp, to_canonical=psi, from_canonical=psi_inv)
+    return bp.replace(to_canonical=psi, from_canonical=psi_inv)
 
 
 def _spy_on_verify_bundle(monkeypatch):
@@ -441,7 +440,7 @@ def test_a_built_sum_is_reported_as_its_own_bundle(perturb):
     tr = tangent_bundle(Space.euclidean(1))
     if perturb:
         sigma = PolyMap.from_components(3, [x(3, 0), x(3, 1) + x(3, 2) + x(3, 1) * x(3, 2)])
-        tr = replace(tr, sigma=sigma)
+        tr = tr.replace(sigma=sigma)
     bp = biproduct([tr, trivial_bundle(Space.euclidean(1), 1)])
     report = verify_sum(bp)
     assert report.passed is not perturb
@@ -451,7 +450,7 @@ def test_a_built_sum_is_reported_as_its_own_bundle(perturb):
 def test_a_failing_sum_is_reported_on_its_own_coordinates(monkeypatch):
     tr = tangent_bundle(Space.euclidean(1))
     lift = PolyMap.from_components(2, [x(2, 0), x(2, 1), Polynomial.zero(2), x(2, 1) * x(2, 1)])
-    bp = _presented([replace(tr, lift=lift), trivial_bundle(Space.euclidean(1), 1)])
+    bp = _presented([tr.replace(lift=lift), trivial_bundle(Space.euclidean(1), 1)])
     model = verify_bundle(biproduct(bp.summands).sum)
     expected = verify_bundle(bp.sum)
     assert model.verdict is expected.verdict is Status.FAIL
@@ -499,13 +498,12 @@ def test_a_failing_law_is_reported_on_the_presented_sum():
     # zeta puts the fibre's zero at w = x: the resolution of identity fails,
     # with a witness on the presented coordinates that is not the model's
     tv = trivial_bundle(Space.euclidean(1), 1)
-    summands = [replace(tv, zeta=PolyMap.from_components(1, [x(1, 0), x(1, 0)])), tangent_bundle(Space.euclidean(1))]
+    summands = [tv.replace(zeta=PolyMap.from_components(1, [x(1, 0), x(1, 0)])), tangent_bundle(Space.euclidean(1))]
     canon = biproduct(summands)
     psi, psi_inv = _comparison("triangular", summands)
     projections = tuple(compose(psi, p) for p in canon.projections)
     rep, got = recognize_biproduct(canon.total, projections, summands)
-    presented = replace(
-        canon,
+    presented = canon.replace(
         projections=projections,
         injections=tuple(compose(inj, psi_inv) for inj in canon.injections),
         to_canonical=psi,
