@@ -4,6 +4,7 @@ from .polycore import PolyMap, Polynomial, ShapeError, compose, compose_all, map
 from .report import CheckRecord, Report, Status
 from .tangent import (
     Space,
+    T_after,
     T_map,
     T_obj,
     add_plus,

@@ -27,6 +27,18 @@ position" axiom 1, "two-sided inverse" the "left inverse" of axiom 4 and
 "T is a functor" its "preserved by T".  Each proof is in the docstring or
 comment beside its record.
 
+A composite of a map X then T(g) is ``tangent.T_after(X, g)``.  When X
+is a padded selection (each component a bare variable or zero), as every
+lift of a tangent bundle is, it is formed term by term with no T(g) and no
+substitution: a monomial of T(g) survives X exactly when it has no positive
+exponent on a point coordinate X zeroes, and a tangent term of c y^e is a
+derivative, which lowers one exponent by one.  So a term positive on two
+zeroed point coordinates gives nothing; one positive on exactly one, k,
+gives only its derivative along k, when e_k = 1 and X keeps t_k; any other
+term gives itself and its derivative along each tangent coordinate X keeps.
+The lift squares of a linear morphism out of a tangent bundle never build
+T(g); ``T_after``'s docstring has the proof in full.
+
 mu and its inverse are built inside ``Report.attempt``, and every law's
 composites inside ``Report.check_equal`` (through ``Report.decide`` when
 the law has a premise), which record a refutation or an exhausted budget;
@@ -53,7 +65,7 @@ from .polycore import (
     power_proj,
 )
 from .report import Report
-from .tangent import Space, T_map, T_obj, flip_c, lift_l, zero_0
+from .tangent import Space, T_after, T_map, T_obj, flip_c, lift_l, zero_0
 
 
 class DiffBundle(Value):
@@ -216,7 +228,7 @@ def check_tangent_axioms(s: Space) -> Report:
     rep.check_equal("flip involution", "cc = 1", lambda: (compose(c, c), PolyMap.identity(4 * s.dim)))
     rep.check_equal("lift fixed by flip", "lc = l", lambda: (compose(l, c), l))
     rep.check_equal(
-        "lift coassociativity", "l T(l) = l l_T", lambda: (compose(l, T_map(l)), compose(l, lift_l(tm)))
+        "lift coassociativity", "l T(l) = l l_T", lambda: (T_after(l, l), compose(l, lift_l(tm)))
     )
     rep.check_equal(
         "flip braid relation",
@@ -226,7 +238,7 @@ def check_tangent_axioms(s: Space) -> Report:
     rep.check_equal(
         "lift/flip exchange",
         "l_T T(c) c_T = c T(l)",
-        lambda: (compose_all(lift_l(tm), T_map(c), flip_c(tm)), compose_all(c, T_map(l))),
+        lambda: (compose_all(lift_l(tm), T_map(c), flip_c(tm)), T_after(c, l)),
     )
 
     tb = tangent_bundle(s)
@@ -248,7 +260,7 @@ def mu_map(b: DiffBundle) -> PolyMap:
         [T_map(p1), T_map(p2)],
         [compose(p1, b.lift), compose(p2, zero_0(b.total))],
     )
-    return compose(paired, T_map(b.sigma))
+    return T_after(paired, b.sigma)
 
 
 def _zero_tangent_base(b: DiffBundle) -> PolyMap:
@@ -316,8 +328,9 @@ def verify_bundle(b: DiffBundle) -> Report:
 
     Every law is built inside ``Report.check_equal``, which records a
     build beyond the term budget as cannot-certify; axiom 5, which
-    substitutes the lift into T of itself, is the one whose composites
-    reach the square of the lift's degree.
+    substitutes the lift into T of itself unless the lift is a padded
+    selection, is the one whose composites reach the square of the lift's
+    degree.
     """
     rep = Report(subject=f"bundle over R^{b.base.dim} with fibre R^{b.fibre_dim}")
     e, m, bc = b.total.dim, b.base.dim, b.base_coords
@@ -356,7 +369,7 @@ def verify_bundle(b: DiffBundle) -> Report:
     rep.extend(check_universality(b), prefix="axiom 4: ")
 
     rep.check_equal(
-        "axiom 5", "lift l_E = lift T(lift)", lambda: (compose(b.lift, lift_l(b.total)), compose(b.lift, T_map(b.lift)))
+        "axiom 5", "lift l_E = lift T(lift)", lambda: (compose(b.lift, lift_l(b.total)), T_after(b.lift, b.lift))
     )
     return rep
 
@@ -376,7 +389,7 @@ def tangent_of_bundle(b: DiffBundle) -> DiffBundle:
         T_obj(b.total),
         T_obj(b.base),
         new_base_coords,
-        compose(kappa, T_map(b.sigma)),
+        T_after(kappa, b.sigma),
         T_map(b.zeta),
         compose(T_map(b.lift), flip_c(b.total)),
     )
@@ -394,7 +407,9 @@ def linear_morphism_report(
     Linearity is exactly these two squares.  Between differential bundles a
     linear morphism also preserves sigma and zeta (Cockett and Cruttwell), so
     they are not compared here; whether src and dst are differential bundles
-    is for ``verify_bundle`` to decide.
+    is for ``verify_bundle`` to decide.  The lift square's left side is
+    ``T_after(src.lift, g)``, formed without T(g) when src's lift is a
+    padded selection.
     """
     if g.domain_dim != src.total.dim or g.codomain_dim != dst.total.dim:
         raise ShapeError("top morphism has the wrong shape")
@@ -403,7 +418,7 @@ def linear_morphism_report(
     rep = Report(subject=subject)
     projection, lift = LINEAR_SQUARES
     rep.check_equal(*projection, lambda: (compose(src.q, f), compose(g, dst.q)))
-    rep.check_equal(*lift, lambda: (compose(src.lift, T_map(g)), compose(g, dst.lift)))
+    rep.check_equal(*lift, lambda: (T_after(src.lift, g), compose(g, dst.lift)))
     return rep
 
 
@@ -443,5 +458,5 @@ def transport_bundle(
         idx,
         compose_all(kappa, c.sigma, psi_inv),
         compose(c.zeta, psi_inv),
-        compose_all(psi, c.lift, T_map(psi_inv)),
+        T_after(compose(psi, c.lift), psi_inv),
     )

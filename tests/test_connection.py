@@ -89,6 +89,55 @@ def test_nonretraction_K_fails_vertical():
     assert "retraction" in {r.name for r in report.failing()}
 
 
+def _shear_bundle():
+    """The trivial bundle R x R^2 transported along psi = (x0, x1 + x0^2, x2 + x1^2)."""
+    from tangentcat.dbundle import transport_bundle
+    from tangentcat.polycore import invert_polymap
+
+    b = trivial_bundle(Space.euclidean(1), 2)
+    y0, y1, y2 = (x(3, i) for i in range(3))
+    psi = PolyMap(3, (y0, y1 + y0 * y0, y2 + y1 * y1))
+    return transport_bundle(b, psi, invert_polymap(psi), b.total)
+
+
+@pytest.mark.parametrize(
+    "name, builds",
+    [("canonical", 0), ("christoffel", 0), ("K-mutant", 0), ("shear bundle", 1)],
+)
+def test_check_vertical_builds_T_of_K_at_most_once(name, builds, monkeypatch):
+    """Both lift squares take T(K) after a lift.  On a tangent bundle both
+    lifts are padded selections, so the squares are fused and T(K) is never
+    built.  On the shear bundle T(b)'s lift is not one, so T(K) is built
+    once; the square over the bundle projection, whose lift is lift_l, is
+    still fused."""
+    import tangentcat.connection as connection
+    import tangentcat.dbundle as dbundle
+    import tangentcat.tangent as tangent
+
+    if name == "shear bundle":
+        c = Connection(bundle=_shear_bundle(), K=PolyMap(6, (x(6, 0), x(6, 4) + x(6, 1) * x(6, 3), x(6, 5))))
+    else:
+        k = christoffel_connection(Space.euclidean(2), (((x(2, 0), x(2, 1)),) * 2,) * 2).K
+        if name == "canonical":
+            k = canonical_connection(2).K
+        elif name == "K-mutant":
+            k = PolyMap(8, k.components[:3] + (k.components[3] + x(8, 5) * x(8, 6),))
+        c = Connection(bundle=tangent_bundle(Space.euclidean(2)), K=k)
+    built = []
+    T_map = tangent.T_map
+
+    def counted(f):
+        built.append(f is c.K)
+        return T_map(f)
+
+    for module in (tangent, dbundle, connection):
+        monkeypatch.setattr(module, "T_map", counted)
+    check_vertical(c)
+    assert sum(built) == builds
+    if name == "shear bundle":
+        assert any(p.terms and p.bare is None for p in c.bundle.tangent.lift.components)
+
+
 # --------------------------------------------------------------- horizontal
 
 

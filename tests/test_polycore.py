@@ -28,7 +28,7 @@ from tangentcat.polycore import (
     _triangular_inverse,
 )
 
-from tangentcat import canonical_connection, check_effective
+from tangentcat import canonical_connection, check_effective, polycore
 from tangentcat.dbundle import tangent_bundle
 from tangentcat.report import CheckRecord, Report, Status
 from tangentcat.tangent import Space
@@ -364,6 +364,19 @@ def test_invert_stops_at_the_degree_budget():
     rep = Report(subject="inversion")
     assert rep.attempt("inversion", "f inverts", lambda: invert_polymap(f)) is None
     assert [(r.status, r.witness) for r in rep.records] == [(Status.CANNOT_CERTIFY, witness)]
+
+
+def test_a_power_above_the_term_budget_raises_before_its_chain_is_built():
+    # x0^(TERM_BUDGET + 1) with x0 := x0 + 1, a non-monomial argument: the
+    # exponent is refused before the chain forms its first product.
+    p = Polynomial.from_terms(1, {(polycore.TERM_BUDGET + 1,): 1})
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        p.substitute([v(1, 0) + Polynomial.constant(1, 1)])
+    assert time.perf_counter() - start < 1
+    assert info.value.witness == (
+        f"a power of exponent {polycore.TERM_BUDGET + 1} exceeds the term budget ({polycore.TERM_BUDGET})"
+    )
 
 
 _small = st.integers(min_value=-2, max_value=2)

@@ -16,13 +16,14 @@ from tangentcat.polycore import (
     NotInvertible,
     Polynomial,
     PolyMap,
+    ShapeError,
     compose,
     compose_all,
     invert_polymap,
     jacobian,
     _triangular_inverse,
 )
-from tangentcat.tangent import T_map
+from tangentcat.tangent import T_after, T_map
 
 from conftest import polymaps, polynomials, trivial_mixed_polymaps
 
@@ -230,6 +231,33 @@ def test_T_map_is_a_functor(f, g):
         expr = expr.xreplace(dict(zip(Y, x)))
         assert same(tfg.components[i], expr)
         assert same(tfg.components[2 + i], sum(sympy.diff(expr, x[j]) * t[j] for j in range(2)))
+
+
+def padded_selections(domain: int, codomain: int):
+    """Maps whose components are each zero (index -1) or a bare variable, repeats and all-zero maps included."""
+    component = st.integers(min_value=-1, max_value=domain - 1).map(
+        lambda i: Polynomial.zero(domain) if i < 0 else Polynomial.variable(domain, i)
+    )
+    return st.tuples(*([component] * codomain)).map(lambda comps: PolyMap(domain, comps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(padded_selections(3, 4), st.just(PolyMap(3, (Polynomial.zero(3),) * 4)), trivial_mixed_polymaps(3, 4)),
+    st.one_of(polymaps(2, 2, max_degree=3, max_terms=4), trivial_mixed_polymaps(2, 2, max_degree=3)),
+)
+def test_T_after_is_T_map_then_compose(L, g):
+    # The fused form on padded selections, and the fallback on any other L.
+    out = T_after(L, g)
+    assert out == compose(L, T_map(g))
+    assert_canonical_map(out)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(padded_selections(3, 3), trivial_mixed_polymaps(3, 5)), polymaps(2, 2))
+def test_T_after_rejects_a_map_of_the_wrong_shape(L, g):
+    with pytest.raises(ShapeError):
+        T_after(L, g)
 
 
 @st.composite

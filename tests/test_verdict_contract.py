@@ -251,11 +251,13 @@ def test_an_exhausted_term_budget_is_cannot_certify(monkeypatch):
         assert "term budget" in err or named, command
 
 
-def test_an_exponent_above_the_term_budget_is_cannot_certify_at_once(tmp_path):
-    """x0^(10^9) added to K's w component: the power chain is refused before
-    it is built, so verify exits 3 within seconds, naming the budget.  It
-    runs in a child process so that a chain that is built fails the test by
-    its timeout rather than stalling the suite."""
+def test_an_exponent_above_the_term_budget_is_refuted_by_the_lift_squares_at_once(tmp_path):
+    """x0^(10^9) added to K's w component.  The retraction substitutes the
+    lift into K, whose power chain is refused before it is built, so that
+    record is cannot-certify and names the budget; both lift squares are
+    formed without a power (``T_after``) and refute K exactly.  So verify
+    exits 2 within seconds.  It runs in a child process so that a chain that
+    is built fails the test by its timeout rather than stalling the suite."""
     doc = serialize.connection_to_json(canonical_connection(1))
     doc["K"]["components"][1]["terms"].append({"coeff": "1", "exps": [10**9, 0, 0, 0]})
     path = tmp_path / "doc.json"
@@ -265,8 +267,13 @@ def test_an_exponent_above_the_term_budget_is_cannot_certify_at_once(tmp_path):
         [sys.executable, "-m", "tangentcat.cli", "--format", "json", "verify", str(path)],
         capture_output=True, text=True, timeout=5, env={**os.environ, "PYTHONPATH": src},
     )
-    assert (done.returncode, done.stderr) == (3, "")
-    assert "a power of exponent 1000000000 exceeds the term budget" in done.stdout
+    assert (done.returncode, done.stderr) == (2, "")
+    records = {r["name"]: (r["status"], r.get("witness")) for r in json.loads(done.stdout)["checks"]}
+    budget = "a power of exponent 1000000000 exceeds the term budget (32768)"
+    assert records["vertical: retraction"] == ("cannot-certify", budget)
+    refuted = ("fail", "component 1: coefficient of x0^1000000000 differs by 1")
+    for name in ("base projection", "bundle projection"):
+        assert records[f"vertical: linearity over the {name}: lift square"] == refuted
 
 
 def _sweep_documents():
